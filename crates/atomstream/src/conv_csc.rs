@@ -313,48 +313,7 @@ pub fn conv2d_csc(
     cfg: &CscConfig,
 ) -> Result<CscOutput, AtomError> {
     let weights = WeightStreamSet::compile(kernels, w_bits, cfg.atom_bits)?;
-    conv2d_csc_streams(fmap, &weights, geom, a_bits, cfg)
-}
-
-/// Runs the per-input half of a CSC convolution against precompiled weight
-/// streams (the run phase of the compile/run split).
-///
-/// Only activation-side work happens here — tiling, flattening, zero-atom
-/// squeezing and the stream intersections. [`conv2d_csc`] is exactly
-/// [`WeightStreamSet::compile`] followed by this function, so both paths
-/// produce byte-identical outputs and [`CscStats`].
-///
-/// ```
-/// use atomstream::atom::AtomBits;
-/// use atomstream::conv_csc::{conv2d_csc, conv2d_csc_streams, CscConfig, WeightStreamSet};
-/// use qnn::conv::ConvGeometry;
-/// use qnn::quant::BitWidth;
-/// use qnn::tensor::{Tensor3, Tensor4};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let fmap = Tensor3::from_vec(1, 3, 3, vec![1, 0, 2, 0, 3, 0, 4, 0, 5])?;
-/// let k = Tensor4::from_vec(1, 1, 2, 2, vec![1, -2, 0, 3])?;
-/// let (geom, cfg) = (ConvGeometry::default(), CscConfig::default());
-/// let weights = WeightStreamSet::compile(&k, BitWidth::W4, cfg.atom_bits)?;
-/// let run = conv2d_csc_streams(&fmap, &weights, geom, BitWidth::W4, &cfg)?;
-/// let direct = conv2d_csc(&fmap, &k, geom, BitWidth::W4, BitWidth::W4, &cfg)?;
-/// assert_eq!(run, direct);
-/// # Ok(())
-/// # }
-/// ```
-///
-/// # Errors
-/// Returns [`AtomError::GranularityMismatch`] when `cfg.atom_bits` differs
-/// from the granularity the streams were compiled with, plus the geometry
-/// and atomization errors of [`conv2d_csc`].
-pub fn conv2d_csc_streams(
-    fmap: &Tensor3,
-    weights: &WeightStreamSet,
-    geom: ConvGeometry,
-    a_bits: BitWidth,
-    cfg: &CscConfig,
-) -> Result<CscOutput, AtomError> {
-    conv2d_csc_streams_with(fmap, weights, geom, a_bits, cfg, &CscScratch::new())
+    conv2d_csc_streams_with(fmap, &weights, geom, a_bits, cfg, &CscScratch::new())
 }
 
 /// Validated run-phase dimensions shared by every kernel variant:
@@ -392,8 +351,14 @@ fn validate_run(
     Ok((c, h, w, o, k, out_h, out_w))
 }
 
-/// The production run phase: [`conv2d_csc_streams`] with an explicit,
+/// Runs the per-input half of a CSC convolution against precompiled weight
+/// streams (the run phase of the compile/run split) with an explicit,
 /// reusable [`CscScratch`] arena.
+///
+/// Only activation-side work happens here — tiling, flattening, zero-atom
+/// squeezing and the stream intersections. [`conv2d_csc`] is exactly
+/// [`WeightStreamSet::compile`] followed by this function on a fresh
+/// arena, so both paths produce byte-identical outputs and [`CscStats`].
 ///
 /// Retaining the arena across calls (one arena per layer, as the inference
 /// engine's `Session` does) amortizes weight-plan compilation and makes
@@ -402,8 +367,30 @@ fn validate_run(
 /// observability events — are byte-identical to
 /// [`conv2d_csc_streams_reference`] on every input, with any arena state.
 ///
+/// ```
+/// use atomstream::conv_csc::{conv2d_csc, conv2d_csc_streams_with, CscConfig, WeightStreamSet};
+/// use atomstream::kernel::CscScratch;
+/// use qnn::conv::ConvGeometry;
+/// use qnn::quant::BitWidth;
+/// use qnn::tensor::{Tensor3, Tensor4};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let fmap = Tensor3::from_vec(1, 3, 3, vec![1, 0, 2, 0, 3, 0, 4, 0, 5])?;
+/// let k = Tensor4::from_vec(1, 1, 2, 2, vec![1, -2, 0, 3])?;
+/// let (geom, cfg) = (ConvGeometry::default(), CscConfig::default());
+/// let weights = WeightStreamSet::compile(&k, BitWidth::W4, cfg.atom_bits)?;
+/// let scratch = CscScratch::new();
+/// let run = conv2d_csc_streams_with(&fmap, &weights, geom, BitWidth::W4, &cfg, &scratch)?;
+/// let direct = conv2d_csc(&fmap, &k, geom, BitWidth::W4, BitWidth::W4, &cfg)?;
+/// assert_eq!(run, direct);
+/// # Ok(())
+/// # }
+/// ```
+///
 /// # Errors
-/// Exactly the error surface of [`conv2d_csc_streams`].
+/// Returns [`AtomError::GranularityMismatch`] when `cfg.atom_bits` differs
+/// from the granularity the streams were compiled with, plus the geometry
+/// and atomization errors of [`conv2d_csc`].
 pub fn conv2d_csc_streams_with(
     fmap: &Tensor3,
     weights: &WeightStreamSet,
@@ -532,7 +519,7 @@ pub fn conv2d_csc_streams_with(
 /// against.
 ///
 /// # Errors
-/// Exactly the error surface of [`conv2d_csc_streams`].
+/// Exactly the error surface of [`conv2d_csc_streams_with`].
 pub fn conv2d_csc_streams_reference(
     fmap: &Tensor3,
     weights: &WeightStreamSet,
@@ -776,7 +763,15 @@ mod tests {
         assert_eq!(weights.kernel(), 3);
         assert_eq!(weights.w_bits(), BitWidth::W4);
         let direct = conv2d_csc(&fmap, &kernels, geom, BitWidth::W8, BitWidth::W4, &cfg).unwrap();
-        let via_streams = conv2d_csc_streams(&fmap, &weights, geom, BitWidth::W8, &cfg).unwrap();
+        let via_streams = conv2d_csc_streams_with(
+            &fmap,
+            &weights,
+            geom,
+            BitWidth::W8,
+            &cfg,
+            &CscScratch::new(),
+        )
+        .unwrap();
         assert_eq!(via_streams, direct);
         assert_eq!(weights.total_atoms(), direct.stats.weight_atoms);
         assert_eq!(
@@ -817,12 +812,13 @@ mod tests {
             err,
             AtomError::StreamChecksumMismatch { channel: 1, .. }
         ));
-        let run = conv2d_csc_streams(
+        let run = conv2d_csc_streams_with(
             &fmap,
             &weights,
             ConvGeometry::default(),
             BitWidth::W4,
             &CscConfig::default(),
+            &CscScratch::new(),
         );
         assert!(matches!(
             run,
@@ -837,7 +833,14 @@ mod tests {
         let weights = WeightStreamSet::compile(&kernels, BitWidth::W4, AtomBits::B1).unwrap();
         let cfg = CscConfig::default(); // B2 atoms
         assert!(matches!(
-            conv2d_csc_streams(&fmap, &weights, ConvGeometry::default(), BitWidth::W4, &cfg),
+            conv2d_csc_streams_with(
+                &fmap,
+                &weights,
+                ConvGeometry::default(),
+                BitWidth::W4,
+                &cfg,
+                &CscScratch::new()
+            ),
             Err(AtomError::GranularityMismatch {
                 compiled: 1,
                 requested: 2

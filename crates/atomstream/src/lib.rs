@@ -46,8 +46,8 @@ pub mod prelude {
     pub use crate::atom::{shift_range, Atom, AtomBits};
     pub use crate::compress::{compress_activations, compress_weights};
     pub use crate::conv_csc::{
-        conv2d_csc, conv2d_csc_streams, conv2d_csc_streams_reference, conv2d_csc_streams_with,
-        CscConfig, CscOutput, CscStats, WeightStreamSet,
+        conv2d_csc, conv2d_csc_streams_reference, conv2d_csc_streams_with, CscConfig, CscOutput,
+        CscStats, WeightStreamSet,
     };
     pub use crate::cycles::{ideal_steps, intersect_epsilon, tile_cycles};
     pub use crate::decompose::{atomize_signed, atomize_unsigned, recompose};

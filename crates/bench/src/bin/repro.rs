@@ -8,7 +8,7 @@
 //! repro stats-check --golden <path> [--metrics <path>] [--update]
 //!                    [--threads <n>]
 //! experiments: fig1 fig4 fig12 fig13 fig14 fig15 fig16 fig17 fig18 fig19
-//!              table6 motivation multicore scaling ablations batch all
+//!              table6 motivation scaling ablations batch all
 //! ```
 //!
 //! `fig13` and `fig16` are energy companions produced by the same runners
@@ -79,14 +79,14 @@
 use bench::cache::StatsCache;
 use bench::experiments::{
     ablations, engine_batch, fig01, fig04, fig12, fig14, fig15, fig17, fig18, fig19, motivation,
-    multicore_scaling, scaling, table6,
+    scaling, table6,
 };
 use bench::stats_gate;
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-const USAGE: &str = "usage: repro <fig1|fig4|fig12|fig13|fig14|fig15|fig16|fig17|fig18|fig19|table6|motivation|multicore|scaling|ablations|batch|all> [--quick] [--json <path>] [--metrics <path>] [--threads <n>] [--trace] [--batch <n>] [--model-cache <dir>] [--timeout-secs <n>]
+const USAGE: &str = "usage: repro <fig1|fig4|fig12|fig13|fig14|fig15|fig16|fig17|fig18|fig19|table6|motivation|scaling|ablations|batch|all> [--quick] [--json <path>] [--metrics <path>] [--threads <n>] [--trace] [--batch <n>] [--model-cache <dir>] [--timeout-secs <n>]
        repro stats-check --golden <path> [--metrics <path>] [--update] [--threads <n>]
        repro diffcheck [--cases <n>] [--seed <s>] [--shrink] [--repro-dir <path>]
        repro chaos [--campaign <n>] [--seed <s>] [--json <path>]
@@ -102,7 +102,7 @@ const USAGE: &str = "usage: repro <fig1|fig4|fig12|fig13|fig14|fig15|fig16|fig17
                    [--json <path>] [--metrics <path>] [--threads <n>]";
 
 /// Canonical experiment order of `repro all`.
-const ALL: [&str; 14] = [
+const ALL: [&str; 13] = [
     "fig1",
     "fig4",
     "table6",
@@ -113,7 +113,6 @@ const ALL: [&str; 14] = [
     "fig18",
     "fig19",
     "motivation",
-    "multicore",
     "scaling",
     "ablations",
     "batch",
@@ -705,14 +704,6 @@ fn run_one(
                 "motivation",
                 motivation::render(&rows),
                 rows_json("motivation", &rows)?,
-            );
-        }
-        "multicore" => {
-            let rows = multicore_scaling::run(cache);
-            emit(
-                "multicore",
-                multicore_scaling::render(&rows),
-                rows_json("multicore", &rows)?,
             );
         }
         "scaling" => {

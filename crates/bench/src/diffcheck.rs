@@ -12,7 +12,7 @@
 //! 1. **Cross-path equality** — dense reference [`qnn::conv::conv2d`],
 //!    functional [`conv2d_csc`], precompiled `Session::run`, the
 //!    cycle-level `CoreSim::run_layer_streams`, *and both stream kernels*
-//!    (the planned scratch-arena kernel behind [`conv2d_csc_streams`] and
+//!    (the planned scratch-arena kernel [`conv2d_csc_streams_with`] and
 //!    the value-major [`conv2d_csc_streams_reference`] twin) agree
 //!    byte-for-byte — outputs and stats — at 1 and 4 worker threads.
 //! 2. **Lossless round-trips** — COO/CSR/bitmap compression and the atom
@@ -43,12 +43,13 @@ use std::collections::BTreeMap;
 use atomstream::atom::AtomBits;
 use atomstream::compress::{compress_activations, compress_weights, compress_weights_naive};
 use atomstream::conv_csc::{
-    conv2d_csc, conv2d_csc_streams, conv2d_csc_streams_reference, CscConfig, CscOutput,
+    conv2d_csc, conv2d_csc_streams_reference, conv2d_csc_streams_with, CscConfig, CscOutput,
     WeightStreamSet,
 };
 use atomstream::cycles::{ideal_steps, intersect_epsilon, tile_cycles};
 use atomstream::decompose::{atomize_signed, atomize_unsigned, recompose};
 use atomstream::flatten::{flatten_kernel_channel, flatten_tile};
+use atomstream::kernel::CscScratch;
 use qnn::conv::{conv2d, ConvGeometry};
 use qnn::formats::bitmap::BitmapVec;
 use qnn::formats::coo::{BlockCoo2d, CooFeatureMap};
@@ -261,8 +262,15 @@ fn run_paths(case: &DiffCase) -> Result<PathOutputs, String> {
     .map_err(|e| format!("csc: {e}"))?;
     let weights = WeightStreamSet::compile(&case.kernels, case.w_width(), cfg.atom_bits)
         .map_err(|e| format!("compile weights: {e}"))?;
-    let streams = conv2d_csc_streams(&case.fmap, &weights, geom, case.a_width(), &cfg)
-        .map_err(|e| format!("streams: {e}"))?;
+    let streams = conv2d_csc_streams_with(
+        &case.fmap,
+        &weights,
+        geom,
+        case.a_width(),
+        &cfg,
+        &CscScratch::new(),
+    )
+    .map_err(|e| format!("streams: {e}"))?;
     let reference = conv2d_csc_streams_reference(&case.fmap, &weights, geom, case.a_width(), &cfg)
         .map_err(|e| format!("reference streams: {e}"))?;
 
@@ -293,8 +301,9 @@ fn run_paths(case: &DiffCase) -> Result<PathOutputs, String> {
 
     let core = CoreSim::try_new(case.ristretto_config())
         .map_err(|e| format!("core config: {e}"))?
-        .run_layer_streams(&weights, &case.fmap, case.a_bits)
-        .map_err(|e| format!("core run: {e}"))?;
+        .run_layer_streams(&weights, &case.fmap, case.a_bits, None)
+        .map_err(|e| format!("core run: {e}"))?
+        .0;
 
     Ok(PathOutputs {
         dense,

@@ -13,8 +13,9 @@ use crate::cache::StatsCache;
 use crate::{benchmark_networks, table, SEED};
 use atomstream::atom::AtomBits;
 use atomstream::compress::{compress_activations, compress_weights, compress_weights_naive};
-use atomstream::conv_csc::{conv2d_csc_streams, CscConfig, WeightStreamSet};
+use atomstream::conv_csc::{conv2d_csc_streams_with, CscConfig, WeightStreamSet};
 use atomstream::flatten::{FlatActivation, FlatWeight};
+use atomstream::kernel::CscScratch;
 use qnn::quant::BitWidth;
 use qnn::workload::{
     ActivationProfile, PrecisionPolicy, SyntheticLayer, WeightProfile, WorkloadGen,
@@ -93,8 +94,15 @@ pub fn run_tile_size(quick: bool) -> Vec<TileSizeRow> {
                 tile_w: tile,
                 ..CscConfig::default()
             };
-            let out = conv2d_csc_streams(&s.fmap, &weights, layer.geometry(), BitWidth::W8, &cfg)
-                .expect("probe conv");
+            let out = conv2d_csc_streams_with(
+                &s.fmap,
+                &weights,
+                layer.geometry(),
+                BitWidth::W8,
+                &cfg,
+                &CscScratch::new(),
+            )
+            .expect("probe conv");
             // Coordinate metadata: 2·log2(tile) bits per non-zero value.
             let coord_bits = 2 * (tile as u64).ilog2() as u64;
             let compressed_bits = out.stats.act_values * (8 + coord_bits);

@@ -20,9 +20,14 @@ fn no_arguments_prints_usage_and_fails() {
 
 #[test]
 fn unknown_experiment_fails() {
-    let out = repro(&["fig99"]);
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown experiment"));
+    for which in ["fig99", "multicore"] {
+        let out = repro(&[which]);
+        assert!(!out.status.success(), "{which}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("unknown experiment"),
+            "{which}"
+        );
+    }
 }
 
 #[test]

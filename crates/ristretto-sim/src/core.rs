@@ -16,7 +16,7 @@ use atomstream::compress::compress_activations;
 use atomstream::conv_csc::WeightStreamSet;
 use atomstream::error::AtomError;
 use atomstream::flatten::flatten_tile;
-use atomstream::stream::ActivationStream;
+use atomstream::stream::{ActivationStream, WeightStream};
 use qnn::error::QnnError;
 use qnn::tensor::{Tensor3, Tensor4};
 use rayon::prelude::*;
@@ -156,25 +156,23 @@ impl CoreSim {
     /// Runs one layer cycle-level across all tiles.
     ///
     /// Compiles the static weight side inline; equivalent to
-    /// [`WeightStreamSet::compile`] followed by
+    /// [`WeightStreamSet::compile`] followed by a fault-free
     /// [`CoreSim::run_layer_streams`], which amortizes that work across
     /// inputs.
     ///
     /// # Errors
-    /// Propagates atomization errors from stream construction.
+    /// Propagates atomization errors from stream construction as
+    /// [`CoreError::Atom`].
     pub fn run_layer(
         &self,
         fmap: &Tensor3,
         kernels: &Tensor4,
         a_bits: u8,
         w_bits: u8,
-    ) -> Result<CoreReport, AtomError> {
-        let weights = WeightStreamSet::compile(
-            kernels,
-            qnn::quant::BitWidth::new(w_bits)?,
-            self.cfg.atom_bits,
-        )?;
-        self.run_layer_streams(&weights, fmap, a_bits)
+    ) -> Result<CoreReport, CoreError> {
+        let w_bits = qnn::quant::BitWidth::new(w_bits).map_err(AtomError::from)?;
+        let weights = WeightStreamSet::compile(kernels, w_bits, self.cfg.atom_bits)?;
+        Ok(self.run_layer_streams(&weights, fmap, a_bits, None)?.0)
     }
 
     /// Runs one layer cycle-level against precompiled weight streams (the
@@ -184,30 +182,49 @@ impl CoreSim {
     /// weighs *measured* per-input activation atom counts against the
     /// static weight atom counts, so groups legitimately differ per input.
     ///
+    /// `faults` is `Some((injector, layer))` under a fault campaign, where
+    /// `layer` is the global layer index of the injection sites. Atomulator
+    /// FIFO faults are then injected per the campaign, the
+    /// enqueue-accounting digests and the Eq 3 lower bound act as online
+    /// monitors, and detected tiles re-execute within the retry budget
+    /// (faults re-roll per attempt). Exhausting the budget falls back to a
+    /// clean re-run when recovery is on, and raises [`CoreError::Fault`]
+    /// otherwise. With `None`, every tile runs [`TileSim::run`] once and
+    /// the returned [`FaultStats`] are all zero.
+    ///
+    /// Byte-deterministic for a given campaign seed at any thread count:
+    /// every injection decision is a pure hash of its site, and group
+    /// results (including the merged [`FaultStats`]) collect in group
+    /// order.
+    ///
     /// # Errors
     /// Propagates atomization errors, a channel-count mismatch between the
     /// feature map and the compiled streams, and a granularity mismatch
-    /// against the core configuration.
+    /// against the core configuration; an uncontained fault surfaces as
+    /// [`CoreError::Fault`] when recovery is disabled.
     pub fn run_layer_streams(
         &self,
         weights: &WeightStreamSet,
         fmap: &Tensor3,
         a_bits: u8,
-    ) -> Result<CoreReport, AtomError> {
+        faults: Option<(&FaultInjector, usize)>,
+    ) -> Result<(CoreReport, FaultStats), CoreError> {
         let _span = obs::span("core.run_layer");
         let (c, _, _) = fmap.shape();
         if c != weights.in_channels() {
-            return Err(QnnError::ChannelMismatch {
-                fmap: c,
-                kernel: weights.in_channels(),
-            }
-            .into());
+            return Err(CoreError::Atom(
+                QnnError::ChannelMismatch {
+                    fmap: c,
+                    kernel: weights.in_channels(),
+                }
+                .into(),
+            ));
         }
         if weights.atom_bits() != self.cfg.atom_bits {
-            return Err(AtomError::GranularityMismatch {
+            return Err(CoreError::Atom(AtomError::GranularityMismatch {
                 compiled: weights.atom_bits().bits(),
                 requested: self.cfg.atom_bits.bits(),
-            });
+            }));
         }
         let act_streams = self.activation_streams(fmap, a_bits)?;
         // Balance on the measured per-channel statistics, as the hardware
@@ -232,102 +249,6 @@ impl CoreSim {
         // One simulated tile per group; tiles never interact, so they run in
         // parallel. Results come back in group order, so the report is
         // byte-identical to the serial loop.
-        let tiles: Vec<TileReport> = assignment
-            .groups
-            .par_iter()
-            .map(|group| {
-                let mut agg = TileReport::default();
-                for &ci in group {
-                    // Always-on weight-path integrity monitor: the compiled
-                    // checksum register must match the stream about to enter
-                    // the Atomputer.
-                    weights.verify_channel(ci)?;
-                    let ws = weights.stream(ci);
-                    for acts in &act_streams[ci] {
-                        let r = tile_sim.run(ws, acts);
-                        debug_assert!(
-                            r.ideal_cycles() >= tile_sim.ideal(acts.len() as u64, ws.len() as u64),
-                            "Eq 3 lower bound violated: a tile cannot beat its ideal step count"
-                        );
-                        agg.cycles += r.cycles;
-                        agg.stall_cycles += r.stall_cycles;
-                        agg.atom_mults += r.atom_mults;
-                        agg.deliveries += r.deliveries;
-                        agg.crossbar_conflicts += r.crossbar_conflicts;
-                        agg.max_queue = agg.max_queue.max(r.max_queue);
-                    }
-                }
-                Ok(agg)
-            })
-            .collect::<Result<_, AtomError>>()?;
-        let tile_cycles: Vec<u64> = tiles.iter().map(|t| t.cycles).collect();
-        Ok(CoreReport {
-            makespan: tile_cycles.iter().copied().max().unwrap_or(0),
-            tile_cycles,
-            tiles,
-            groups: assignment.groups,
-        })
-    }
-
-    /// Fault-aware variant of [`CoreSim::run_layer_streams`]: Atomulator
-    /// FIFO faults are injected per the configured campaign, the
-    /// enqueue-accounting digests and the Eq 3 lower bound act as online
-    /// monitors, and detected tiles re-execute within the retry budget
-    /// (faults re-roll per attempt). Exhausting the budget falls back to a
-    /// clean re-run when recovery is on, and raises
-    /// [`CoreError::Fault`] otherwise.
-    ///
-    /// Byte-deterministic for a given campaign seed at any thread count:
-    /// every injection decision is a pure hash of its site, and group
-    /// results (including the merged [`FaultStats`]) collect in group
-    /// order.
-    ///
-    /// # Errors
-    /// Propagates stream/geometry errors, and an uncontained fault as
-    /// [`CoreError::Fault`] when recovery is disabled.
-    pub fn run_layer_streams_faulty(
-        &self,
-        weights: &WeightStreamSet,
-        fmap: &Tensor3,
-        a_bits: u8,
-        injector: &FaultInjector,
-        layer: usize,
-    ) -> Result<(CoreReport, FaultStats), CoreError> {
-        let _span = obs::span("core.run_layer_faulty");
-        let (c, _, _) = fmap.shape();
-        if c != weights.in_channels() {
-            return Err(CoreError::Atom(
-                QnnError::ChannelMismatch {
-                    fmap: c,
-                    kernel: weights.in_channels(),
-                }
-                .into(),
-            ));
-        }
-        if weights.atom_bits() != self.cfg.atom_bits {
-            return Err(CoreError::Atom(AtomError::GranularityMismatch {
-                compiled: weights.atom_bits().bits(),
-                requested: self.cfg.atom_bits.bits(),
-            }));
-        }
-        let act_streams = self.activation_streams(fmap, a_bits)?;
-        let workloads: Vec<ChannelWorkload> = act_streams
-            .iter()
-            .enumerate()
-            .map(|(i, tiles)| ChannelWorkload {
-                channel: i,
-                act_atoms: tiles.iter().map(|t| t.len() as u64).sum(),
-                weight_atoms: weights.atoms(i),
-            })
-            .collect();
-        let assignment = balance(
-            &workloads,
-            self.cfg.tiles,
-            self.cfg.multipliers as u64,
-            self.cfg.balancing,
-        );
-
-        let tile_sim = TileSim::new(&self.cfg);
         let results: Vec<(TileReport, FaultStats)> = assignment
             .groups
             .par_iter()
@@ -335,54 +256,34 @@ impl CoreSim {
                 let mut agg = TileReport::default();
                 let mut stats = FaultStats::default();
                 for &ci in group {
-                    weights.verify_channel(ci).map_err(CoreError::Atom)?;
+                    // Always-on weight-path integrity monitor: the compiled
+                    // checksum register must match the stream about to enter
+                    // the Atomputer.
+                    weights.verify_channel(ci)?;
                     let ws = weights.stream(ci);
                     for (tidx, acts) in act_streams[ci].iter().enumerate() {
-                        let ideal = tile_sim.ideal(acts.len() as u64, ws.len() as u64);
-                        let max_attempts = injector.max_attempts();
-                        let mut attempt = 0u32;
-                        let r = loop {
-                            let site = FaultSite {
-                                layer,
-                                channel: ci,
-                                tile: tidx,
-                                attempt,
-                                item: 0,
-                            };
-                            let (r, check) = tile_sim.run_faulty(ws, acts, injector, site);
-                            stats.record_injected(FaultStructure::Fifo, check.injected);
-                            // Two FIFO monitors: the enqueue-accounting
-                            // digests, and the Eq 3 lower bound (a dropped
-                            // delivery can only shorten the run).
-                            let detected =
-                                injector.detect() && (check.detected() || r.ideal_cycles() < ideal);
-                            if !detected {
-                                if attempt > 0 {
-                                    stats.record_recovered_tile();
-                                }
-                                break r;
+                        let r = match faults {
+                            None => {
+                                let r = tile_sim.run(ws, acts);
+                                debug_assert!(
+                                    r.ideal_cycles()
+                                        >= tile_sim.ideal(acts.len() as u64, ws.len() as u64),
+                                    "Eq 3 lower bound violated: a tile cannot beat its ideal step count"
+                                );
+                                r
                             }
-                            stats.record_detected(FaultStructure::Fifo, check.injected);
-                            stats.record_wasted(r.atom_mults, r.deliveries);
-                            if attempt >= max_attempts {
-                                if injector.recover() {
-                                    // Budget exhausted: tile-level clean
-                                    // re-execution (the dense fallback of
-                                    // the functional path has no cycle
-                                    // analogue).
-                                    stats.record_recovered_tile();
-                                    break tile_sim.run(ws, acts);
-                                }
-                                return Err(CoreError::Fault(FaultDetected {
-                                    structure: FaultStructure::Fifo,
+                            Some((injector, layer)) => {
+                                let site = FaultSite {
                                     layer,
                                     channel: ci,
                                     tile: tidx,
-                                    attempts: attempt + 1,
-                                }));
+                                    attempt: 0,
+                                    item: 0,
+                                };
+                                run_tile_with_retries(
+                                    &tile_sim, ws, acts, injector, site, &mut stats,
+                                )?
                             }
-                            stats.record_retry();
-                            attempt += 1;
                         };
                         agg.cycles += r.cycles;
                         agg.stall_cycles += r.stall_cycles;
@@ -418,6 +319,55 @@ impl CoreSim {
     /// The configuration this core was built with.
     pub fn config(&self) -> &RistrettoConfig {
         &self.cfg
+    }
+}
+
+/// Runs one tile under a fault campaign, re-executing it within the
+/// retry budget while a FIFO monitor fires.
+///
+/// # Errors
+/// Returns [`CoreError::Fault`] when the budget runs out with recovery
+/// disabled.
+fn run_tile_with_retries(
+    tile_sim: &TileSim,
+    ws: &WeightStream,
+    acts: &ActivationStream,
+    injector: &FaultInjector,
+    mut site: FaultSite,
+    stats: &mut FaultStats,
+) -> Result<TileReport, CoreError> {
+    let ideal = tile_sim.ideal(acts.len() as u64, ws.len() as u64);
+    loop {
+        let (r, check) = tile_sim.run_faulty(ws, acts, injector, site);
+        stats.record_injected(FaultStructure::Fifo, check.injected);
+        // Two FIFO monitors: the enqueue-accounting digests, and the Eq 3
+        // lower bound (a dropped delivery can only shorten the run).
+        let detected = injector.detect() && (check.detected() || r.ideal_cycles() < ideal);
+        if !detected {
+            if site.attempt > 0 {
+                stats.record_recovered_tile();
+            }
+            return Ok(r);
+        }
+        stats.record_detected(FaultStructure::Fifo, check.injected);
+        stats.record_wasted(r.atom_mults, r.deliveries);
+        if site.attempt >= injector.max_attempts() {
+            if injector.recover() {
+                // Budget exhausted: tile-level clean re-execution (the dense
+                // fallback of the functional path has no cycle analogue).
+                stats.record_recovered_tile();
+                return Ok(tile_sim.run(ws, acts));
+            }
+            return Err(CoreError::Fault(FaultDetected {
+                structure: FaultStructure::Fifo,
+                layer: site.layer,
+                channel: site.channel,
+                tile: site.tile,
+                attempts: site.attempt + 1,
+            }));
+        }
+        stats.record_retry();
+        site.attempt += 1;
     }
 }
 
@@ -505,11 +455,11 @@ mod tests {
             core.config().atom_bits,
         )
         .unwrap();
-        let clean = core.run_layer_streams(&weights, &s.fmap, 8).unwrap();
+        let (clean, _) = core.run_layer_streams(&weights, &s.fmap, 8, None).unwrap();
         let cfg_f = FaultConfig::quiescent(3).with_rate(FaultStructure::Fifo, 5_000);
         let injector = FaultInjector::new(cfg_f);
         let (faulty, stats) = core
-            .run_layer_streams_faulty(&weights, &s.fmap, 8, &injector, 0)
+            .run_layer_streams(&weights, &s.fmap, 8, Some((&injector, 0)))
             .unwrap();
         assert!(stats.injected(FaultStructure::Fifo) > 0);
         assert_eq!(
@@ -522,7 +472,7 @@ mod tests {
         assert_eq!(faulty, clean);
         // Determinism across repeated runs.
         let (again, stats2) = core
-            .run_layer_streams_faulty(&weights, &s.fmap, 8, &injector, 0)
+            .run_layer_streams(&weights, &s.fmap, 8, Some((&injector, 0)))
             .unwrap();
         assert_eq!(faulty, again);
         assert_eq!(stats, stats2);
@@ -544,7 +494,7 @@ mod tests {
             .with_recover(false);
         let injector = FaultInjector::new(cfg_f);
         let err = core
-            .run_layer_streams_faulty(&weights, &s.fmap, 8, &injector, 4)
+            .run_layer_streams(&weights, &s.fmap, 8, Some((&injector, 4)))
             .unwrap_err();
         match err {
             CoreError::Fault(f) => {
@@ -567,10 +517,10 @@ mod tests {
             core.config().atom_bits,
         )
         .unwrap();
-        let clean = core.run_layer_streams(&weights, &s.fmap, 8).unwrap();
+        let (clean, _) = core.run_layer_streams(&weights, &s.fmap, 8, None).unwrap();
         let injector = FaultInjector::new(FaultConfig::quiescent(1));
         let (faulty, stats) = core
-            .run_layer_streams_faulty(&weights, &s.fmap, 8, &injector, 0)
+            .run_layer_streams(&weights, &s.fmap, 8, Some((&injector, 0)))
             .unwrap();
         assert_eq!(faulty, clean);
         assert_eq!(stats, crate::fault::FaultStats::default());

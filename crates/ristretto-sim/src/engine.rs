@@ -163,6 +163,27 @@ impl NetworkModel {
             layers,
         })
     }
+
+    /// Runs the dense reference path: every layer through
+    /// [`qnn::conv::conv2d`], requantize + ReLU and optional pooling. The
+    /// compiled [`Session::run`] output must match it byte-for-byte.
+    ///
+    /// # Errors
+    /// Propagates geometry errors.
+    pub fn run_dense_reference(&self, input: &Tensor3) -> Result<Tensor3, QnnError> {
+        let mut act = input.clone();
+        for layer in &self.layers {
+            let acc = conv2d(&act, &layer.kernels, layer.geom)?;
+            let requant = acc.requantize_relu(layer.requant_shift, layer.out_bits);
+            act = match layer.pool {
+                Some((kind, window, stride, padding)) => {
+                    pool2d(&requant, kind, window, stride, padding)?
+                }
+                None => requant,
+            };
+        }
+        Ok(act)
+    }
 }
 
 /// One layer's static artifacts: everything derivable from the trained
@@ -344,7 +365,7 @@ impl CompiledLayer {
             failed: Option<FaultDetected>,
         }
 
-        // Same fan-out/merge shape as `conv2d_csc_streams`; outcomes
+        // Same fan-out/merge shape as `conv2d_csc_streams_with`; outcomes
         // collect in channel order, so the run is thread-count
         // deterministic.
         let per_channel: Vec<Result<ChannelOutcome, AtomError>> = (0..c)
@@ -816,8 +837,7 @@ pub fn compile(
 pub struct SessionRun {
     /// Final activation tensor.
     pub output: Tensor3,
-    /// Per-layer execution traces (byte-identical to the per-call
-    /// [`crate::pipeline::FunctionalPipeline::run`] path).
+    /// Per-layer execution traces.
     pub traces: Vec<LayerTrace>,
     /// Fault-campaign counters; all-zero when no campaign is configured.
     pub faults: FaultStats,
@@ -1018,24 +1038,14 @@ impl Session {
         let mut core_reports = Vec::with_capacity(self.net.layers.len());
         let mut faults = FaultStats::default();
         for (li, layer) in self.net.layers.iter().enumerate() {
-            match &injector {
-                None => core_reports.push(core.run_layer_streams(
-                    &layer.weights,
-                    &act,
-                    layer.a_bits.bits(),
-                )?),
-                Some(inj) => {
-                    let (report, core_faults) = core.run_layer_streams_faulty(
-                        &layer.weights,
-                        &act,
-                        layer.a_bits.bits(),
-                        inj,
-                        li,
-                    )?;
-                    faults.merge(&core_faults);
-                    core_reports.push(report);
-                }
-            }
+            let (report, core_faults) = core.run_layer_streams(
+                &layer.weights,
+                &act,
+                layer.a_bits.bits(),
+                injector.as_ref().map(|inj| (inj, li)),
+            )?;
+            faults.merge(&core_faults);
+            core_reports.push(report);
             let (next, trace) = match &injector {
                 None => layer.execute(&self.net.csc, &act, &self.scratch[li])?,
                 Some(inj) => {
@@ -1066,35 +1076,9 @@ impl Session {
     }
 }
 
-/// Crate-internal bridge for [`crate::pipeline::FunctionalPipeline`]: one
-/// layer compiled transiently and executed immediately (the pre-engine
-/// behavior, kept byte-identical).
-pub(crate) fn compile_and_execute_layer(
-    layer: &PipelineLayer,
-    csc: &CscConfig,
-    act: &Tensor3,
-) -> Result<(Tensor3, LayerTrace), AtomError> {
-    let weights = WeightStreamSet::compile(&layer.kernels, layer.w_bits, csc.atom_bits)?;
-    let compiled = CompiledLayer {
-        name: layer.name.clone(),
-        weights,
-        kernels: layer.kernels.clone(),
-        geom: layer.geom,
-        a_bits: layer.a_bits,
-        requant_shift: layer.requant_shift,
-        out_bits: layer.out_bits,
-        pool: layer.pool,
-        weight_atoms_per_channel: Vec::new(),
-        weight_buffer_bits: None,
-        static_groups: Vec::new(),
-    };
-    compiled.execute(csc, act, &CscScratch::new())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::FunctionalPipeline;
     use qnn::models::NetworkId;
     use qnn::workload::ActivationProfile;
 
@@ -1142,25 +1126,128 @@ mod tests {
         assert_eq!(ra, rb);
     }
 
-    #[test]
-    fn session_matches_functional_pipeline() {
-        let (model, input) = model_and_input(13);
-        let cfg = RistrettoConfig::paper_default();
-        let compiled = compile(&model, &cfg).unwrap();
-        let run = Session::new(compiled).run(&input).unwrap();
-
-        let pipeline = FunctionalPipeline::new(
-            model.layers.clone(),
-            CscConfig {
-                atom_bits: cfg.atom_bits,
-                multipliers: cfg.multipliers,
-                tile_h: cfg.tile_h,
-                tile_w: cfg.tile_w,
+    fn three_layer_model(seed: u64) -> (NetworkModel, Tensor3) {
+        let mut gen = WorkloadGen::new(seed);
+        let input = gen
+            .activations(3, 16, 16, &ActivationProfile::new(BitWidth::W8))
+            .unwrap();
+        let wp = WeightProfile::benchmark(BitWidth::W4);
+        let layers = vec![
+            PipelineLayer {
+                name: "conv1".into(),
+                kernels: gen.weights(8, 3, 3, 3, &wp).unwrap(),
+                geom: ConvGeometry::unit_stride(1),
+                w_bits: BitWidth::W4,
+                a_bits: BitWidth::W8,
+                requant_shift: 4,
+                out_bits: 8,
+                pool: Some((PoolKind::Max, 2, 2, 0)),
             },
+            PipelineLayer {
+                name: "conv2".into(),
+                kernels: gen.weights(12, 8, 3, 3, &wp).unwrap(),
+                geom: ConvGeometry::unit_stride(1),
+                w_bits: BitWidth::W4,
+                a_bits: BitWidth::W8,
+                requant_shift: 5,
+                out_bits: 8,
+                pool: None,
+            },
+            PipelineLayer {
+                name: "conv3".into(),
+                kernels: gen.weights(4, 12, 1, 1, &wp).unwrap(),
+                geom: ConvGeometry::default(),
+                w_bits: BitWidth::W4,
+                a_bits: BitWidth::W8,
+                requant_shift: 3,
+                out_bits: 8,
+                pool: None,
+            },
+        ];
+        (NetworkModel::new("three-layer", (3, 16, 16), layers), input)
+    }
+
+    #[test]
+    fn csc_pipeline_matches_dense_reference_end_to_end() {
+        for seed in [1u64, 2, 3] {
+            let (model, input) = three_layer_model(seed);
+            let compiled = compile(&model, &RistrettoConfig::paper_default()).unwrap();
+            let run = Session::new(compiled).run(&input).unwrap();
+            let dense_out = model.run_dense_reference(&input).unwrap();
+            assert_eq!(run.output, dense_out, "seed {seed}");
+            assert_eq!(run.traces.len(), 3);
+            assert!(run.traces.iter().all(|t| t.stats.intersect.atom_mults > 0));
+        }
+    }
+
+    #[test]
+    fn ppu_statistics_describe_next_layer_input() {
+        let (model, input) = three_layer_model(7);
+        let compiled = compile(&model, &RistrettoConfig::paper_default()).unwrap();
+        let traces = Session::new(compiled).run(&input).unwrap().traces;
+        // conv2's input is conv1's pooled output; without pooling the PPU
+        // counts would match the next layer's measured input exactly. For
+        // conv3 (no pool on conv2) they must match.
+        let conv2_trace = &traces[1];
+        assert_eq!(conv2_trace.out_values_per_channel.len(), 12);
+        let conv2_out = conv2_trace.out_values_per_channel.iter().sum::<u64>();
+        // conv3 streams at most that many values; channels whose pruned
+        // kernels are entirely zero are skipped outright.
+        let conv3_acts = traces[2].stats.act_values;
+        assert!(conv3_acts <= conv2_out, "{conv3_acts} > {conv2_out}");
+        assert!(
+            conv3_acts as f64 >= conv2_out as f64 * 0.7,
+            "{conv3_acts} vs {conv2_out}"
         );
-        let (out, traces) = pipeline.run(&input).unwrap();
-        assert_eq!(run.output, out);
-        assert_eq!(run.traces, traces);
+    }
+
+    #[test]
+    fn deeper_pipeline_stays_exact() {
+        // Five chained 1x1/3x3 layers at mixed precisions.
+        let mut gen = WorkloadGen::new(99);
+        let input = gen
+            .activations(4, 10, 10, &ActivationProfile::new(BitWidth::W4))
+            .unwrap();
+        let mut layers = Vec::new();
+        let mut in_c = 4;
+        for (i, (&k, &bits)) in [1usize, 3, 1, 3, 1]
+            .iter()
+            .zip(&[
+                BitWidth::W2,
+                BitWidth::W4,
+                BitWidth::W8,
+                BitWidth::W2,
+                BitWidth::W4,
+            ])
+            .enumerate()
+        {
+            let out_c = 4 + i;
+            layers.push(PipelineLayer {
+                name: format!("l{i}"),
+                kernels: gen
+                    .weights(out_c, in_c, k, k, &WeightProfile::benchmark(bits))
+                    .unwrap(),
+                geom: ConvGeometry::unit_stride(k / 2),
+                w_bits: bits,
+                a_bits: BitWidth::W8,
+                requant_shift: 3,
+                out_bits: 8,
+                pool: None,
+            });
+            in_c = out_c;
+        }
+        // First layer consumes 4-bit input; widths still declared W8-safe.
+        let model = NetworkModel::new("deeper", (4, 10, 10), layers);
+        let cfg = RistrettoConfig {
+            tile_h: 4,
+            tile_w: 4,
+            ..RistrettoConfig::paper_default()
+        };
+        let a = Session::new(compile(&model, &cfg).unwrap())
+            .run(&input)
+            .unwrap();
+        let b = model.run_dense_reference(&input).unwrap();
+        assert_eq!(a.output, b);
     }
 
     #[test]

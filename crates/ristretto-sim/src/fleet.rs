@@ -1,13 +1,12 @@
 //! Sharded fleet-scale simulation of the Fig 7 multi-core organization.
 //!
-//! Where [`crate::multicore`] scales the analytic closed form, this module
-//! is a *first-class* multi-core layer: it shards a **compiled** network
-//! ([`crate::engine::compile`]) across N cores under explicit strategies,
-//! drives every shard through the same execution path a single-core
-//! [`Session`] uses, and routes inter-core activation traffic through the
-//! deterministic [`crate::noc`] queueing model. The per-layer cross-core
-//! makespan — `max(per-core Eq 5 compute) + exchange makespan` —
-//! generalizes the §IV-E balancer counters from tiles to cores.
+//! This module shards a **compiled** network ([`crate::engine::compile`])
+//! across N cores under explicit strategies, drives every shard through
+//! the same execution path a single-core [`Session`] uses, and routes
+//! inter-core activation traffic through the deterministic [`crate::noc`]
+//! queueing model. The per-layer cross-core makespan — `max(per-core Eq 5
+//! compute) + exchange makespan` — generalizes the §IV-E balancer counters
+//! from tiles to cores.
 //!
 //! Three sharding strategies:
 //!

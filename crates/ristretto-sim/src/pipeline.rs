@@ -1,18 +1,17 @@
-//! Functional multi-layer inference through the condensed streaming
-//! computation.
+//! Layer plan and per-layer trace types of a CSC inference.
 //!
-//! Chains CSC convolutions with the PPU between layers (ReLU, requantize,
-//! compress, count statistics) and optional pooling — the full §IV
-//! workflow at the functional level. Every layer is checked against the
-//! dense reference in the test suite; the collected per-layer traces carry
-//! exactly the statistics the hardware's balancer would see.
+//! A [`PipelineLayer`] is one stage of the §IV workflow: a convolution
+//! plus its PPU post-processing (ReLU, requantize, compress, count
+//! statistics) and optional pooling. The compile-once engine
+//! ([`crate::engine`]) runs a [`crate::engine::NetworkModel`] built from
+//! these layers and returns one [`LayerTrace`] per layer, carrying exactly
+//! the statistics the hardware's balancer would see.
 
-use atomstream::conv_csc::{CscConfig, CscStats};
-use atomstream::error::AtomError;
+use atomstream::conv_csc::CscStats;
 use qnn::conv::ConvGeometry;
-use qnn::pool::{pool2d, PoolKind};
+use qnn::pool::PoolKind;
 use qnn::quant::BitWidth;
-use qnn::tensor::{Tensor3, Tensor4};
+use qnn::tensor::Tensor4;
 use serde::{Deserialize, Serialize};
 
 /// One pipeline stage: a convolution plus its post-processing.
@@ -48,193 +47,4 @@ pub struct LayerTrace {
     /// Output non-zero atoms per channel (PPU statistic — next layer's
     /// balancing input).
     pub out_atoms_per_channel: Vec<u64>,
-}
-
-/// A functional CSC inference pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FunctionalPipeline {
-    layers: Vec<PipelineLayer>,
-    cfg: CscConfig,
-}
-
-impl FunctionalPipeline {
-    /// Builds a pipeline over the given layers with a shared CSC
-    /// configuration.
-    pub fn new(layers: Vec<PipelineLayer>, cfg: CscConfig) -> Self {
-        Self { layers, cfg }
-    }
-
-    /// The layer list.
-    pub fn layers(&self) -> &[PipelineLayer] {
-        &self.layers
-    }
-
-    /// Runs inference, returning the final activation tensor and per-layer
-    /// traces.
-    ///
-    /// Each call compiles every layer's static weight stream transiently
-    /// and discards it afterwards; [`crate::engine::compile`] hoists that
-    /// work out of the loop and amortizes it across inputs — both paths
-    /// share one layer executor, so their results are identical.
-    ///
-    /// # Errors
-    /// Propagates CSC and geometry errors from any stage.
-    pub fn run(&self, input: &Tensor3) -> Result<(Tensor3, Vec<LayerTrace>), AtomError> {
-        let mut act = input.clone();
-        let mut traces = Vec::with_capacity(self.layers.len());
-        for layer in &self.layers {
-            let (next, trace) = crate::engine::compile_and_execute_layer(layer, &self.cfg, &act)?;
-            act = next;
-            traces.push(trace);
-        }
-        Ok((act, traces))
-    }
-
-    /// The dense reference path: identical math through
-    /// [`qnn::conv::conv2d`], used for verification.
-    ///
-    /// # Errors
-    /// Propagates geometry errors.
-    pub fn run_dense_reference(&self, input: &Tensor3) -> Result<Tensor3, AtomError> {
-        let mut act = input.clone();
-        for layer in &self.layers {
-            let acc = qnn::conv::conv2d(&act, &layer.kernels, layer.geom)?;
-            let requant = acc.requantize_relu(layer.requant_shift, layer.out_bits);
-            act = match layer.pool {
-                Some((kind, window, stride, padding)) => {
-                    pool2d(&requant, kind, window, stride, padding)?
-                }
-                None => requant,
-            };
-        }
-        Ok(act)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use qnn::workload::{ActivationProfile, WeightProfile, WorkloadGen};
-
-    fn three_layer_pipeline(seed: u64) -> (FunctionalPipeline, Tensor3) {
-        let mut gen = WorkloadGen::new(seed);
-        let input = gen
-            .activations(3, 16, 16, &ActivationProfile::new(BitWidth::W8))
-            .unwrap();
-        let wp = WeightProfile::benchmark(BitWidth::W4);
-        let layers = vec![
-            PipelineLayer {
-                name: "conv1".into(),
-                kernels: gen.weights(8, 3, 3, 3, &wp).unwrap(),
-                geom: ConvGeometry::unit_stride(1),
-                w_bits: BitWidth::W4,
-                a_bits: BitWidth::W8,
-                requant_shift: 4,
-                out_bits: 8,
-                pool: Some((PoolKind::Max, 2, 2, 0)),
-            },
-            PipelineLayer {
-                name: "conv2".into(),
-                kernels: gen.weights(12, 8, 3, 3, &wp).unwrap(),
-                geom: ConvGeometry::unit_stride(1),
-                w_bits: BitWidth::W4,
-                a_bits: BitWidth::W8,
-                requant_shift: 5,
-                out_bits: 8,
-                pool: None,
-            },
-            PipelineLayer {
-                name: "conv3".into(),
-                kernels: gen.weights(4, 12, 1, 1, &wp).unwrap(),
-                geom: ConvGeometry::default(),
-                w_bits: BitWidth::W4,
-                a_bits: BitWidth::W8,
-                requant_shift: 3,
-                out_bits: 8,
-                pool: None,
-            },
-        ];
-        (FunctionalPipeline::new(layers, CscConfig::default()), input)
-    }
-
-    #[test]
-    fn csc_pipeline_matches_dense_reference_end_to_end() {
-        for seed in [1u64, 2, 3] {
-            let (p, input) = three_layer_pipeline(seed);
-            let (csc_out, traces) = p.run(&input).unwrap();
-            let dense_out = p.run_dense_reference(&input).unwrap();
-            assert_eq!(csc_out, dense_out, "seed {seed}");
-            assert_eq!(traces.len(), 3);
-            assert!(traces.iter().all(|t| t.stats.intersect.atom_mults > 0));
-        }
-    }
-
-    #[test]
-    fn ppu_statistics_describe_next_layer_input() {
-        let (p, input) = three_layer_pipeline(7);
-        let (_, traces) = p.run(&input).unwrap();
-        // conv2's input is conv1's pooled output; without pooling the PPU
-        // counts would match the next layer's measured input exactly. For
-        // conv3 (no pool on conv2) they must match.
-        let conv2_trace = &traces[1];
-        assert_eq!(conv2_trace.out_values_per_channel.len(), 12);
-        let conv2_out = conv2_trace.out_values_per_channel.iter().sum::<u64>();
-        // conv3 streams at most that many values; channels whose pruned
-        // kernels are entirely zero are skipped outright.
-        let conv3_acts = traces[2].stats.act_values;
-        assert!(conv3_acts <= conv2_out, "{conv3_acts} > {conv2_out}");
-        assert!(
-            conv3_acts as f64 >= conv2_out as f64 * 0.7,
-            "{conv3_acts} vs {conv2_out}"
-        );
-    }
-
-    #[test]
-    fn deeper_pipeline_stays_exact() {
-        // Five chained 1x1/3x3 layers at mixed precisions.
-        let mut gen = WorkloadGen::new(99);
-        let input = gen
-            .activations(4, 10, 10, &ActivationProfile::new(BitWidth::W4))
-            .unwrap();
-        let mut layers = Vec::new();
-        let mut in_c = 4;
-        for (i, (&k, &bits)) in [1usize, 3, 1, 3, 1]
-            .iter()
-            .zip(&[
-                BitWidth::W2,
-                BitWidth::W4,
-                BitWidth::W8,
-                BitWidth::W2,
-                BitWidth::W4,
-            ])
-            .enumerate()
-        {
-            let out_c = 4 + i;
-            layers.push(PipelineLayer {
-                name: format!("l{i}"),
-                kernels: gen
-                    .weights(out_c, in_c, k, k, &WeightProfile::benchmark(bits))
-                    .unwrap(),
-                geom: ConvGeometry::unit_stride(k / 2),
-                w_bits: bits,
-                a_bits: BitWidth::W8,
-                requant_shift: 3,
-                out_bits: 8,
-                pool: None,
-            });
-            in_c = out_c;
-        }
-        // First layer consumes 4-bit input; widths still declared W8-safe.
-        let p = FunctionalPipeline::new(
-            layers,
-            CscConfig {
-                tile_h: 4,
-                tile_w: 4,
-                ..CscConfig::default()
-            },
-        );
-        let (a, _) = p.run(&input).unwrap();
-        let b = p.run_dense_reference(&input).unwrap();
-        assert_eq!(a, b);
-    }
 }

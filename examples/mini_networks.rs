@@ -13,7 +13,6 @@ use ristretto::qnn::quant::BitWidth;
 use ristretto::qnn::workload::{ActivationProfile, WeightProfile, WorkloadGen};
 use ristretto::ristretto_sim::config::RistrettoConfig;
 use ristretto::ristretto_sim::engine::{compile, NetworkModel, Session};
-use ristretto::ristretto_sim::pipeline::FunctionalPipeline;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = RistrettoConfig::paper_default();
@@ -32,13 +31,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // All static weight work happens here, once per network …
         let compiled = compile(&model, &cfg)?;
         // … and the session only pays the activation-side cost per image.
-        let session = Session::new(compiled.clone());
+        let session = Session::new(compiled);
         let run = session.run(&input)?;
 
-        let reference = FunctionalPipeline::new(model.layers.clone(), *compiled.csc_config());
         assert_eq!(
             run.output,
-            reference.run_dense_reference(&input)?,
+            model.run_dense_reference(&input)?,
             "CSC must match dense"
         );
 

@@ -1,10 +1,12 @@
 //! Compile-once/run-many equivalence: precompiling the static weight
 //! artifacts and running against the compiled streams must be
-//! byte-identical to the direct (compile-inline) paths, for the
-//! functional CSC convolution, the cycle-level core, and a whole mini
-//! network — at one worker thread and at many.
+//! byte-identical to the direct (compile-inline) paths for the functional
+//! CSC convolution and the cycle-level core, and a compiled session must
+//! reproduce the dense reference on every mini network — at one worker
+//! thread and at many.
 
-use atomstream::conv_csc::{conv2d_csc, conv2d_csc_streams, CscConfig, WeightStreamSet};
+use atomstream::conv_csc::{conv2d_csc, conv2d_csc_streams_with, CscConfig, WeightStreamSet};
+use atomstream::kernel::CscScratch;
 use qnn::mini::MiniNetwork;
 use qnn::models::NetworkId;
 use qnn::quant::BitWidth;
@@ -13,7 +15,6 @@ use rayon::ThreadPoolBuilder;
 use ristretto_sim::config::RistrettoConfig;
 use ristretto_sim::core::CoreSim;
 use ristretto_sim::engine::{compile, NetworkModel, Session};
-use ristretto_sim::pipeline::FunctionalPipeline;
 
 fn materialized(seed: u64) -> SyntheticLayer {
     let layer = qnn::layers::ConvLayer::conv("eq", 10, 12, 3, 1, 1, 13, 13).unwrap();
@@ -52,9 +53,15 @@ fn precompiled_streams_match_direct_csc() {
             .unwrap();
             let weights =
                 WeightStreamSet::compile(&s.kernels, BitWidth::W4, cfg.atom_bits).unwrap();
-            let streamed =
-                conv2d_csc_streams(&s.fmap, &weights, s.layer.geometry(), BitWidth::W8, &cfg)
-                    .unwrap();
+            let streamed = conv2d_csc_streams_with(
+                &s.fmap,
+                &weights,
+                s.layer.geometry(),
+                BitWidth::W8,
+                &cfg,
+                &CscScratch::new(),
+            )
+            .unwrap();
             assert_eq!(
                 direct.output, streamed.output,
                 "output differs at {threads} threads"
@@ -77,39 +84,47 @@ fn precompiled_streams_match_direct_core_report() {
             let direct = core.run_layer(&s.fmap, &s.kernels, 8, 4).unwrap();
             let weights =
                 WeightStreamSet::compile(&s.kernels, BitWidth::W4, cfg.atom_bits).unwrap();
-            let streamed = core.run_layer_streams(&weights, &s.fmap, 8).unwrap();
+            let (streamed, _) = core.run_layer_streams(&weights, &s.fmap, 8, None).unwrap();
             assert_eq!(direct, streamed, "CoreReport differs at {threads} threads");
         });
     }
 }
 
 #[test]
-fn compiled_session_matches_functional_pipeline() {
-    let mini = MiniNetwork::try_new(NetworkId::ResNet18).unwrap();
-    let mut gen = WorkloadGen::new(107);
-    let (c, h, w) = mini.input;
-    let input = gen
-        .activations(c, h, w, &ActivationProfile::new(BitWidth::W8))
-        .unwrap();
-    let model =
-        NetworkModel::from_mini(&mini, &mut gen, &WeightProfile::benchmark(BitWidth::W4)).unwrap();
+fn compiled_session_matches_dense_reference() {
     let cfg = RistrettoConfig::paper_default();
-    let compiled = compile(&model, &cfg).unwrap();
-    let pipeline = FunctionalPipeline::new(model.layers.clone(), *compiled.csc_config());
-    for threads in [1, 4] {
-        with_threads(threads, || {
-            let session = Session::new(compiled.clone());
-            let run = session.run(&input).unwrap();
-            let (direct_out, direct_traces) = pipeline.run(&input).unwrap();
-            assert_eq!(
-                run.output, direct_out,
-                "output differs at {threads} threads"
-            );
-            assert_eq!(
-                run.traces, direct_traces,
-                "traces differ at {threads} threads"
-            );
-        });
+    for id in NetworkId::ALL {
+        let mini = MiniNetwork::try_new(id).unwrap();
+        for (w_bits, a_bits) in [
+            (BitWidth::W4, BitWidth::W8),
+            (BitWidth::W2, BitWidth::W2),
+            (BitWidth::W2, BitWidth::W4),
+        ] {
+            let mut gen = WorkloadGen::new(107 + id as u64);
+            let (c, h, w) = mini.input;
+            let input = gen
+                .activations(c, h, w, &ActivationProfile::new(a_bits))
+                .unwrap();
+            let mut model =
+                NetworkModel::from_mini(&mini, &mut gen, &WeightProfile::benchmark(w_bits))
+                    .unwrap();
+            for layer in &mut model.layers {
+                layer.a_bits = a_bits;
+                layer.out_bits = a_bits.bits();
+            }
+            let dense = model.run_dense_reference(&input).unwrap();
+            let compiled = compile(&model, &cfg).unwrap();
+            for threads in [1, 4] {
+                let run = with_threads(threads, || {
+                    Session::new(compiled.clone()).run(&input).unwrap()
+                });
+                assert_eq!(
+                    run.output, dense,
+                    "{id} at {w_bits}/{a_bits} differs at {threads} threads"
+                );
+                assert_eq!(run.traces.len(), model.layers.len());
+            }
+        }
     }
 }
 

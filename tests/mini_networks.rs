@@ -2,47 +2,37 @@
 //! through the condensed streaming computation, checked bit-exactly
 //! against the dense reference at every precision policy.
 
-use ristretto::atomstream::conv_csc::CscConfig;
 use ristretto::qnn::mini::MiniNetwork;
 use ristretto::qnn::models::NetworkId;
 use ristretto::qnn::quant::BitWidth;
+use ristretto::qnn::tensor::Tensor3;
 use ristretto::qnn::workload::{ActivationProfile, WeightProfile, WorkloadGen};
-use ristretto::ristretto_sim::pipeline::{FunctionalPipeline, PipelineLayer};
+use ristretto::ristretto_sim::config::RistrettoConfig;
+use ristretto::ristretto_sim::engine::{compile, NetworkModel, Session, SessionRun};
 
-fn build_pipeline(
+fn build_model(
     mini: &MiniNetwork,
     w_bits: BitWidth,
     a_bits: BitWidth,
     gen: &mut WorkloadGen,
-) -> FunctionalPipeline {
-    let wp = WeightProfile::benchmark(w_bits);
-    let layers = mini
-        .stages
-        .iter()
-        .map(|stage| {
-            let l = &stage.layer;
-            PipelineLayer {
-                name: l.name.clone(),
-                kernels: gen
-                    .weights(l.out_channels, l.in_channels, l.kernel, l.kernel, &wp)
-                    .expect("valid kernel shape"),
-                geom: l.geometry(),
-                w_bits,
-                a_bits,
-                requant_shift: 5,
-                out_bits: a_bits.bits(),
-                pool: stage.pool,
-            }
-        })
-        .collect();
-    FunctionalPipeline::new(
-        layers,
-        CscConfig {
-            tile_h: 4,
-            tile_w: 4,
-            ..CscConfig::default()
-        },
-    )
+) -> NetworkModel {
+    let mut model = NetworkModel::from_mini(mini, gen, &WeightProfile::benchmark(w_bits))
+        .expect("valid kernel shapes");
+    for layer in &mut model.layers {
+        layer.a_bits = a_bits;
+        layer.out_bits = a_bits.bits();
+    }
+    model
+}
+
+fn run_csc(model: &NetworkModel, input: &Tensor3) -> SessionRun {
+    let cfg = RistrettoConfig {
+        tile_h: 4,
+        tile_w: 4,
+        ..RistrettoConfig::paper_default()
+    };
+    let compiled = compile(model, &cfg).expect("compile");
+    Session::new(compiled).run(input).expect("CSC inference")
 }
 
 #[test]
@@ -55,15 +45,13 @@ fn all_six_minis_run_csc_inference_exactly() {
         let input = gen
             .activations(c, h, w, &ActivationProfile::new(BitWidth::W8))
             .unwrap();
-        let pipeline = build_pipeline(&mini, BitWidth::W4, BitWidth::W8, &mut gen);
-        let (csc_out, traces) = pipeline.run(&input).expect("CSC inference");
-        let dense_out = pipeline
-            .run_dense_reference(&input)
-            .expect("dense inference");
-        assert_eq!(csc_out, dense_out, "{id}");
-        assert_eq!(traces.len(), mini.stages.len(), "{id}");
+        let model = build_model(&mini, BitWidth::W4, BitWidth::W8, &mut gen);
+        let run = run_csc(&model, &input);
+        let dense_out = model.run_dense_reference(&input).expect("dense inference");
+        assert_eq!(run.output, dense_out, "{id}");
+        assert_eq!(run.traces.len(), mini.stages.len(), "{id}");
         // The classifier output has 10 channels at 1x1... or small spatial.
-        assert_eq!(csc_out.channels(), 10, "{id}");
+        assert_eq!(run.output.channels(), 10, "{id}");
     }
 }
 
@@ -76,10 +64,10 @@ fn minis_run_at_low_precision_too() {
         let input = gen
             .activations(c, h, w, &ActivationProfile::new(a_bits))
             .unwrap();
-        let pipeline = build_pipeline(&mini, w_bits, a_bits, &mut gen);
-        let (csc_out, _) = pipeline.run(&input).unwrap();
-        let dense_out = pipeline.run_dense_reference(&input).unwrap();
-        assert_eq!(csc_out, dense_out, "{w_bits}/{a_bits}");
+        let model = build_model(&mini, w_bits, a_bits, &mut gen);
+        let run = run_csc(&model, &input);
+        let dense_out = model.run_dense_reference(&input).unwrap();
+        assert_eq!(run.output, dense_out, "{w_bits}/{a_bits}");
     }
 }
 
@@ -92,8 +80,8 @@ fn mini_traces_feed_balancer_statistics() {
     let input = gen
         .activations(c, h, w, &ActivationProfile::new(BitWidth::W8))
         .unwrap();
-    let pipeline = build_pipeline(&mini, BitWidth::W4, BitWidth::W8, &mut gen);
-    let (_, traces) = pipeline.run(&input).unwrap();
+    let model = build_model(&mini, BitWidth::W4, BitWidth::W8, &mut gen);
+    let traces = run_csc(&model, &input).traces;
     // Use a mid-layer's PPU statistics as the next layer's balancer input,
     // exactly the §IV-E flow.
     let trace = &traces[2];

@@ -7,9 +7,10 @@
 //! equality here is exact — not approximate.
 
 use atomstream::conv_csc::{
-    conv2d_csc, conv2d_csc_streams, conv2d_csc_streams_reference, CscConfig, CscOutput,
+    conv2d_csc, conv2d_csc_streams_reference, conv2d_csc_streams_with, CscConfig, CscOutput,
     WeightStreamSet,
 };
+use atomstream::kernel::CscScratch;
 use qnn::quant::BitWidth;
 use qnn::workload::{ActivationProfile, SyntheticLayer, WeightProfile, WorkloadGen};
 use rayon::ThreadPoolBuilder;
@@ -88,8 +89,8 @@ fn core_sim_is_thread_count_invariant() {
 
 #[test]
 fn planned_and_reference_kernels_agree_at_every_thread_count() {
-    // Dual-kernel oracle: the planned scratch-arena kernel behind
-    // `conv2d_csc_streams` and the value-major reference kernel are
+    // Dual-kernel oracle: the planned scratch-arena kernel
+    // `conv2d_csc_streams_with` and the value-major reference kernel are
     // independent implementations of the same intersection; outputs and
     // stats must be byte-identical to each other — and to the serial
     // baseline — at every thread count.
@@ -102,7 +103,15 @@ fn planned_and_reference_kernels_agree_at_every_thread_count() {
     });
     for threads in [1, 2, 4, 8] {
         let planned = with_threads(threads, || {
-            conv2d_csc_streams(&s.fmap, &weights, geom, BitWidth::W8, &cfg).unwrap()
+            conv2d_csc_streams_with(
+                &s.fmap,
+                &weights,
+                geom,
+                BitWidth::W8,
+                &cfg,
+                &CscScratch::new(),
+            )
+            .unwrap()
         });
         let reference = with_threads(threads, || {
             conv2d_csc_streams_reference(&s.fmap, &weights, geom, BitWidth::W8, &cfg).unwrap()
