@@ -196,7 +196,7 @@ events! {
     (EngineSessions, "engine.run.sessions", Sum, "sessions", "§III/Fig 5",
      "Inference sessions opened against a compiled network."),
     (EngineRunLayers, "engine.run.layers", Sum, "layers", "§III/Fig 5",
-     "Per-input layer executions served from compiled artifacts."),
+     "Per-input layer executions served from compiled artifacts, fleets included."),
     (EngineRunActAtoms, "engine.run.act_atoms", Sum, "atoms", "§III/Fig 5",
      "Activation atoms streamed during session runs."),
     (FaultInjectedWeightBuffer, "fault.injected.weight_buffer", Sum, "faults", "§IV-B",
@@ -250,7 +250,7 @@ events! {
     (FleetCores, "fleet.cores", Max, "cores", "Fig 7",
      "Largest core count any fleet run was sharded across."),
     (FleetShards, "fleet.shards", Sum, "shards", "Fig 7",
-     "Per-layer shard executions driven through the compiled engine."),
+     "Per-layer shards priced from the channels their alive cores own."),
     (FleetBusyCycles, "fleet.busy_cycles", Sum, "cycles", "Eq 5",
      "Per-core compute cycles summed over all cores and layers."),
     (FleetIdleCycles, "fleet.idle_cycles", Sum, "cycles", "Eq 5",

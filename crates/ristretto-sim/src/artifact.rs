@@ -506,94 +506,6 @@ pub(crate) fn read_config(r: &mut WireReader<'_>) -> Result<RistrettoConfig, Wir
     })
 }
 
-/// Leading magic bytes of a standalone shard-plan artifact.
-///
-/// Shard plans ride *next to* compiled-network artifacts rather than
-/// inside them — the `RSTRETTO` byte layout (and [`FORMAT_VERSION`]) is
-/// untouched by fleet support, so existing caches stay valid.
-pub const SHARD_MAGIC: [u8; 8] = *b"RSTSHARD";
-
-/// Current shard-plan format version; versioned independently of
-/// [`FORMAT_VERSION`], same bump-on-any-layout-change policy.
-pub const SHARD_FORMAT_VERSION: u32 = 1;
-
-/// Serializes a fleet [`crate::fleet::ShardPlan`] into its standalone artifact form.
-/// Deterministic: the same plan always produces the same bytes.
-#[must_use]
-pub fn encode_shard_plan(plan: &crate::fleet::ShardPlan) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.put_bytes(&SHARD_MAGIC);
-    w.put_u32(SHARD_FORMAT_VERSION);
-    w.section("plan", |s| {
-        s.put_u64(plan.group_size as u64);
-        s.put_u64(plan.layers.len() as u64);
-        for groups in &plan.layers {
-            for group in groups {
-                s.put_u64(group.len() as u64);
-                for &channel in group {
-                    s.put_u64(channel as u64);
-                }
-            }
-        }
-    });
-    w.into_bytes()
-}
-
-/// Deserializes and verifies a shard plan produced by
-/// [`encode_shard_plan`]: wire checksums, slot counts per layer, and the
-/// planner's ascending-channel invariant within every group.
-///
-/// # Errors
-/// Any [`WireError`] variant naming the damaged section.
-pub fn decode_shard_plan(bytes: &[u8]) -> Result<crate::fleet::ShardPlan, WireError> {
-    let mut r = WireReader::new(bytes, "shard-plan");
-    let magic = r.get_bytes(SHARD_MAGIC.len())?;
-    if magic != SHARD_MAGIC {
-        let mut found = [0u8; 8];
-        found.copy_from_slice(magic);
-        return Err(WireError::BadMagic {
-            found,
-            expected: SHARD_MAGIC,
-        });
-    }
-    let version = r.get_u32()?;
-    if version != SHARD_FORMAT_VERSION {
-        return Err(WireError::VersionSkew {
-            found: version,
-            supported: SHARD_FORMAT_VERSION,
-        });
-    }
-    let mut p = r.section("plan")?;
-    let group_size = p.get_usize()?;
-    if group_size == 0 {
-        return Err(invalid("plan", "zero shard slots"));
-    }
-    let layer_count = p.get_usize()?;
-    let mut layers = Vec::with_capacity(layer_count);
-    for li in 0..layer_count {
-        let mut groups = Vec::with_capacity(group_size);
-        for slot in 0..group_size {
-            let len = p.get_usize()?;
-            let mut group = Vec::with_capacity(len);
-            for _ in 0..len {
-                let channel = p.get_usize()?;
-                if group.last().is_some_and(|&prev| prev >= channel) {
-                    return Err(invalid(
-                        "plan",
-                        format!("layer {li} slot {slot} channels are not ascending"),
-                    ));
-                }
-                group.push(channel);
-            }
-            groups.push(group);
-        }
-        layers.push(groups);
-    }
-    p.finish()?;
-    r.finish()?;
-    Ok(crate::fleet::ShardPlan { group_size, layers })
-}
-
 /// Canonical content bytes of an (uncompiled) network model, hashed into
 /// the model half of the cache key. Covers everything that can influence
 /// compilation: name, input shape, and every layer field including the
@@ -713,29 +625,6 @@ mod tests {
                 supported: FORMAT_VERSION,
             }
         );
-    }
-
-    #[test]
-    fn shard_plan_round_trips_and_rejects_damage() {
-        let (model, cfg) = tiny_network();
-        let net = compile(&model, &cfg).unwrap();
-        let plan = crate::fleet::ShardPlan::compute(&net, 2);
-        let bytes = encode_shard_plan(&plan);
-        let decoded = decode_shard_plan(&bytes).unwrap();
-        assert_eq!(plan, decoded);
-        assert_eq!(plan.digest(), decoded.digest());
-        assert_eq!(bytes, encode_shard_plan(&decoded));
-
-        let mut wrong_magic = bytes.clone();
-        wrong_magic[0] ^= 0xff;
-        assert!(matches!(
-            decode_shard_plan(&wrong_magic),
-            Err(WireError::BadMagic { .. })
-        ));
-        let mut flipped = bytes;
-        let last = flipped.len() - 1;
-        flipped[last] ^= 0x01;
-        assert!(decode_shard_plan(&flipped).is_err());
     }
 
     #[test]

@@ -638,37 +638,6 @@ impl CompiledLayer {
         }
         atoms
     }
-
-    /// Restricts this layer's static side to the given output channels
-    /// (ascending, as a fleet shard plan provides them): slices the dense
-    /// kernels and recompiles streams, per-channel statistics, buffer
-    /// layout and the static balancer grouping for the slice. All input
-    /// channels are kept — a shard consumes the full (all-gathered)
-    /// activation tensor.
-    ///
-    /// # Errors
-    /// Propagates stream-compilation errors from the sliced kernels.
-    pub fn shard(
-        &self,
-        out_channels: &[usize],
-        cfg: &RistrettoConfig,
-    ) -> Result<CompiledLayer, AtomError> {
-        let (_, in_c, kh, kw) = self.kernels.shape();
-        let kernels = Tensor4::from_fn(out_channels.len(), in_c, kh, kw, |o, i, y, x| {
-            self.kernels.get(out_channels[o], i, y, x)
-        })?;
-        let layer = PipelineLayer {
-            name: self.name.clone(),
-            kernels,
-            geom: self.geom,
-            w_bits: self.weights.w_bits(),
-            a_bits: self.a_bits,
-            requant_shift: self.requant_shift,
-            out_bits: self.out_bits,
-            pool: self.pool,
-        };
-        CompiledLayer::compile(&layer, cfg)
-    }
 }
 
 /// A network compiled into per-layer static artifacts, shared by sessions
@@ -711,60 +680,6 @@ impl CompiledNetwork {
     /// Total static weight atoms across all layers.
     pub fn weight_atoms(&self) -> u64 {
         self.layers.iter().map(|l| l.weight_atoms()).sum()
-    }
-
-    /// Builds one core's shard-scoped view of this network:
-    /// `channels_per_layer[li]` is the (ascending) set of output channels
-    /// the core owns at layer `li` — an empty set means the core idles
-    /// through that layer (more cores than output channels). Layer indices
-    /// stay global, so fault-injection sites and scratch arenas line up
-    /// with the unsharded network.
-    ///
-    /// # Errors
-    /// Propagates stream-compilation errors from the sliced kernels.
-    pub fn shard_view(&self, channels_per_layer: &[Vec<usize>]) -> Result<ShardView, EngineError> {
-        assert_eq!(
-            channels_per_layer.len(),
-            self.layers.len(),
-            "shard plan must cover every layer"
-        );
-        let layers = self
-            .layers
-            .iter()
-            .zip(channels_per_layer)
-            .map(|(layer, channels)| {
-                if channels.is_empty() {
-                    Ok(None)
-                } else {
-                    layer.shard(channels, &self.cfg).map(Some)
-                }
-            })
-            .collect::<Result<Vec<_>, AtomError>>()?;
-        Ok(ShardView { layers })
-    }
-}
-
-/// One core's slice of a sharded [`CompiledNetwork`]: per global layer
-/// index, either the recompiled restriction of that layer to the core's
-/// output channels, or `None` when the core idles through the layer.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardView {
-    pub(crate) layers: Vec<Option<CompiledLayer>>,
-}
-
-impl ShardView {
-    /// Per-layer shard artifacts (global layer order; `None` = idle).
-    pub fn layers(&self) -> &[Option<CompiledLayer>] {
-        &self.layers
-    }
-
-    /// Static weight atoms resident on this core.
-    pub fn weight_atoms(&self) -> u64 {
-        self.layers
-            .iter()
-            .flatten()
-            .map(CompiledLayer::weight_atoms)
-            .sum()
     }
 }
 
@@ -930,27 +845,12 @@ impl Session {
     /// uncontained fault as [`EngineError::Fault`].
     pub fn run(&self, input: &Tensor3) -> Result<SessionRun, EngineError> {
         let _span = obs::span("engine.run");
-        let injector = self.net.cfg.faults.map(FaultInjector::new);
         let mut act = input.clone();
         let mut traces = Vec::with_capacity(self.net.layers.len());
         let mut faults = FaultStats::default();
-        for (li, layer) in self.net.layers.iter().enumerate() {
-            let (next, trace) = match &injector {
-                None => layer.execute(&self.net.csc, &act, &self.scratch[li])?,
-                Some(inj) => {
-                    let (next, trace, layer_faults) = layer.execute_with_faults(
-                        &self.net.csc,
-                        &act,
-                        inj,
-                        li,
-                        self.net.cfg.acc_bits,
-                    )?;
-                    faults.merge(&layer_faults);
-                    (next, trace)
-                }
-            };
-            obs::record(obs::Event::EngineRunLayers, 1);
-            obs::record(obs::Event::EngineRunActAtoms, trace.stats.act_atoms);
+        for li in 0..self.net.layers.len() {
+            let (next, trace, layer_faults) = self.run_layer(li, &act)?;
+            faults.merge(&layer_faults);
             act = next;
             traces.push(trace);
         }
@@ -962,11 +862,12 @@ impl Session {
     }
 
     /// Runs exactly one layer (by global index) of the compiled network on
-    /// `act` — the per-layer stepping primitive the fleet driver uses to
-    /// interleave shard execution with inter-core activation exchange.
-    /// Fault-injection sites depend only on the global layer index and the
-    /// activation geometry, so stepping a network layer-by-layer is
-    /// byte-identical to [`Session::run`].
+    /// `act` — the one per-layer executor. [`Session::run`] and
+    /// [`Session::run_cycle_level`] step through it, and the fleet driver
+    /// steps through [`Session::run_layer_with`], pricing its shards and
+    /// exchanging activations between layers. Fault-injection sites depend
+    /// only on the global layer index and the activation geometry, so a
+    /// campaign is a property of the layer, not of the caller.
     ///
     /// # Panics
     /// Panics if `li` is out of range.
@@ -1046,22 +947,8 @@ impl Session {
             )?;
             faults.merge(&core_faults);
             core_reports.push(report);
-            let (next, trace) = match &injector {
-                None => layer.execute(&self.net.csc, &act, &self.scratch[li])?,
-                Some(inj) => {
-                    let (next, trace, layer_faults) = layer.execute_with_faults(
-                        &self.net.csc,
-                        &act,
-                        inj,
-                        li,
-                        self.net.cfg.acc_bits,
-                    )?;
-                    faults.merge(&layer_faults);
-                    (next, trace)
-                }
-            };
-            obs::record(obs::Event::EngineRunLayers, 1);
-            obs::record(obs::Event::EngineRunActAtoms, trace.stats.act_atoms);
+            let (next, trace, layer_faults) = self.run_layer(li, &act)?;
+            faults.merge(&layer_faults);
             act = next;
             traces.push(trace);
         }

@@ -1,12 +1,13 @@
 //! Sharded fleet-scale simulation of the Fig 7 multi-core organization.
 //!
 //! This module shards a **compiled** network ([`crate::engine::compile`])
-//! across N cores under explicit strategies, drives every shard through
-//! the same execution path a single-core [`Session`] uses, and routes
-//! inter-core activation traffic through the deterministic [`crate::noc`]
-//! queueing model. The per-layer cross-core makespan — `max(per-core Eq 5
-//! compute) + exchange makespan` — generalizes the §IV-E balancer counters
-//! from tiles to cores.
+//! across N cores under explicit strategies, runs each layer once per
+//! input through the same [`Session`] a single core uses, prices every
+//! core's shard with the closed-form Eq 5 model from the weight atoms of
+//! the output channels it owns, and routes inter-core activation traffic
+//! through the deterministic [`crate::noc`] queueing model. The per-layer
+//! cross-core makespan — `max(per-core Eq 5 compute) + exchange makespan`
+//! — generalizes the §IV-E balancer counters from tiles to cores.
 //!
 //! Three sharding strategies:
 //!
@@ -19,24 +20,25 @@
 //! * [`ShardStrategy::Hybrid`] — `replicas` batch-parallel groups, each
 //!   output-channel-sharded internally.
 //!
-//! **Byte-determinism is the invariant**: shard execution reuses the
-//! channel-ordered engine kernels, slots run in slot order, the NoC is
-//! pure integer arithmetic, and core deaths ([`crate::fault::CoreDeathConfig`]) are pure
-//! site hashes followed by deterministic resharding — so fleet output is
-//! byte-identical at any `(cores, threads)` combination, and a 1-core
-//! fleet reproduces the single-core [`Session`] bytes exactly (enforced by
-//! a diffcheck oracle family).
+//! **Byte-determinism is the invariant**: outputs come from the
+//! channel-ordered engine kernels, slots are priced in slot order, the NoC
+//! is pure integer arithmetic, and core deaths
+//! ([`crate::fault::CoreDeathConfig`]) are pure site hashes followed by
+//! deterministic resharding — so fleet output is byte-identical at any
+//! `(cores, threads)` combination, and a 1-core fleet reproduces the
+//! single-core [`Session`] bytes exactly (enforced by a diffcheck oracle
+//! family).
 
 use crate::balance::{balance, is_exact_partition, BalanceStrategy, ChannelWorkload};
-use crate::config::{FleetConfig, RistrettoConfig};
+use crate::config::FleetConfig;
 use crate::energy::COO_META_BITS;
-use crate::engine::{CompiledLayer, CompiledNetwork, EngineError, Session, ShardView};
+use crate::engine::{CompiledNetwork, EngineError, Session};
 use crate::fault::{splitmix64, FaultStats};
 use crate::noc::{Noc, NocReport};
 use atomstream::atom::AtomBits;
 use qnn::tensor::Tensor3;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -84,11 +86,10 @@ fn partition_out_channels(atoms: &[u64], slots: usize) -> Vec<Vec<usize>> {
     groups
 }
 
-/// A fleet's static sharding decision: for every layer, which output
-/// channels each shard slot owns. Produced by LPT over per-out-channel
-/// static weight atoms; serialized alongside compiled networks through
-/// [`crate::artifact::encode_shard_plan`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// A fleet's sharding decision: for every layer, which output channels
+/// each shard slot owns — exactly the channel sets the fleet prices.
+/// Produced by LPT over per-out-channel static weight atoms.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardPlan {
     /// Shard slots the plan partitions over (cores per replica group).
     pub group_size: usize,
@@ -96,23 +97,51 @@ pub struct ShardPlan {
     /// by `slot`; may be empty when the layer has fewer output channels
     /// than the group has slots.
     pub layers: Vec<Vec<Vec<usize>>>,
+    /// `atoms[li][slot][ci]`: layer `li`'s weight-stream entries on input
+    /// channel `ci` whose output channel `slot` owns — the `S_i` the
+    /// slot's shard is priced with, equal to compiling the kernels sliced
+    /// to its channels.
+    atoms: Vec<Vec<Vec<u64>>>,
 }
 
 impl ShardPlan {
     /// Plans `group_size` shards of a compiled network.
     pub fn compute(net: &CompiledNetwork, group_size: usize) -> Self {
-        let layers = net
-            .layers()
-            .iter()
-            .map(|l| partition_out_channels(&l.weight_atoms_per_out_channel(), group_size))
-            .collect();
-        Self { group_size, layers }
+        Self::over_alive(net, &vec![true; group_size])
     }
 
-    /// Per-layer channel sets of one slot (the input to
-    /// [`CompiledNetwork::shard_view`]).
-    pub fn slot_channels(&self, slot: usize) -> Vec<Vec<usize>> {
-        self.layers.iter().map(|l| l[slot].clone()).collect()
+    /// Plans every layer over the `alive` slots only; dead slots own no
+    /// channels.
+    fn over_alive(net: &CompiledNetwork, alive: &[bool]) -> Self {
+        let alive_slots: Vec<usize> = (0..alive.len()).filter(|&s| alive[s]).collect();
+        let (layers, atoms) = net
+            .layers()
+            .iter()
+            .map(|l| {
+                let parts =
+                    partition_out_channels(&l.weight_atoms_per_out_channel(), alive_slots.len());
+                let mut groups = vec![Vec::new(); alive.len()];
+                let mut owner = vec![0usize; l.weights().out_channels()];
+                for (part, &slot) in parts.into_iter().zip(&alive_slots) {
+                    for &c in &part {
+                        owner[c] = slot;
+                    }
+                    groups[slot] = part;
+                }
+                let mut atoms = vec![vec![0u64; l.weights().in_channels()]; alive.len()];
+                for (ci, stream) in l.weights().streams().iter().enumerate() {
+                    for e in stream.entries() {
+                        atoms[owner[e.out_ch as usize]][ci] += 1;
+                    }
+                }
+                (groups, atoms)
+            })
+            .unzip();
+        Self {
+            group_size: alive.len(),
+            layers,
+            atoms,
+        }
     }
 
     /// Whether every layer's groups exactly partition that layer's output
@@ -126,21 +155,6 @@ impl ShardPlan {
                         layer.weights().out_channels(),
                     )
             })
-    }
-
-    /// Order-sensitive digest of the whole plan (artifact round-trip
-    /// witness).
-    pub fn digest(&self) -> u64 {
-        let mut h = splitmix64(0x5A4D ^ self.group_size as u64);
-        for groups in &self.layers {
-            for g in groups {
-                h = splitmix64(h ^ g.len() as u64);
-                for &c in g {
-                    h = splitmix64(h ^ c as u64);
-                }
-            }
-        }
-        h
     }
 }
 
@@ -252,36 +266,36 @@ pub(crate) fn tensor_digest(h: u64, t: &Tensor3) -> u64 {
     h
 }
 
-/// Mutable per-run shard state of one replica group: which slots are
-/// alive, and reshard overrides layered over the static plan/views.
-struct GroupState {
+/// Mutable per-run state of one replica group: which slots are alive and
+/// the plan they are priced by — the fleet's static plan until a core
+/// death reshards every layer over the survivors.
+struct GroupState<'a> {
     /// Global core id of each slot.
     cores: Vec<usize>,
     alive: Vec<bool>,
-    /// `(slot, layer)` → resharded layer artifact (`None` = idles now).
-    overrides: HashMap<(usize, usize), Option<Arc<CompiledLayer>>>,
-    /// `layer` → post-reshard channel groups (slot-indexed).
-    channel_overrides: HashMap<usize, Vec<Vec<usize>>>,
+    plan: Cow<'a, ShardPlan>,
 }
 
-impl GroupState {
+impl GroupState<'_> {
     fn alive_count(&self) -> usize {
         self.alive.iter().filter(|&&a| a).count()
+    }
+
+    /// Whether `slot` is priced at layer `li`: alive and owning at least
+    /// one output channel there.
+    fn priced(&self, slot: usize, li: usize) -> bool {
+        self.alive[slot] && !self.plan.layers[li][slot].is_empty()
     }
 }
 
 /// The sharded fleet simulator: a compiled network, a validated
-/// [`FleetConfig`], the static [`ShardPlan`] and per-slot shard views.
+/// [`FleetConfig`], the static [`ShardPlan`] and the [`Session`] every
+/// layer runs through.
 #[derive(Debug)]
 pub struct Fleet {
     net: Arc<CompiledNetwork>,
     cfg: FleetConfig,
     plan: ShardPlan,
-    /// One view per shard slot within a replica group; slots hold
-    /// `Arc<CompiledLayer>` so per-run reshard state can share them.
-    shards: Vec<Vec<Option<Arc<CompiledLayer>>>>,
-    /// Unsharded session driving `group_size == 1` groups through the
-    /// plain engine path.
     session: Session,
 }
 
@@ -289,33 +303,19 @@ impl Fleet {
     /// Shards a compiled network per the fleet configuration.
     ///
     /// # Errors
-    /// Returns [`EngineError::Config`] for invalid fleet configurations
-    /// and propagates shard recompilation failures.
+    /// Returns [`EngineError::Config`] for invalid fleet configurations.
     pub fn try_new(net: Arc<CompiledNetwork>, cfg: FleetConfig) -> Result<Self, EngineError> {
         cfg.validate()?;
-        let group_size = cfg.group_size();
-        let plan = ShardPlan::compute(&net, group_size);
+        let plan = ShardPlan::compute(&net, cfg.group_size());
         assert!(
             plan.verify(&net),
             "shard plan must partition every layer's output channels"
         );
-        let shards = (0..group_size)
-            .map(|slot| {
-                let view: ShardView = net.shard_view(&plan.slot_channels(slot))?;
-                Ok(view
-                    .layers()
-                    .iter()
-                    .cloned()
-                    .map(|l| l.map(Arc::new))
-                    .collect())
-            })
-            .collect::<Result<Vec<_>, EngineError>>()?;
         let session = Session::new(net.clone());
         Ok(Self {
             net,
             cfg,
             plan,
-            shards,
             session,
         })
     }
@@ -335,30 +335,10 @@ impl Fleet {
         &self.plan
     }
 
-    /// The current shard layer of `slot` at `layer`, after any reshard.
-    fn shard_layer<'a>(
-        &'a self,
-        state: &'a GroupState,
-        slot: usize,
-        li: usize,
-    ) -> Option<&'a CompiledLayer> {
-        match state.overrides.get(&(slot, li)) {
-            Some(over) => over.as_deref(),
-            None => self.shards[slot][li].as_deref(),
-        }
-    }
-
-    /// Eq 5 compute cycles of one shard layer on the measured activation
-    /// atom counts (`None` shard → 0).
-    fn shard_cycles(
-        &self,
-        layer: Option<&CompiledLayer>,
-        act_atoms: &[u64],
-        input_layer: bool,
-    ) -> u64 {
-        let Some(layer) = layer else { return 0 };
-        let workloads: Vec<ChannelWorkload> = layer
-            .weight_atoms_per_channel()
+    /// Eq 5 compute cycles of a shard with the given per-input-channel
+    /// weight atoms on the measured activation atom counts.
+    fn shard_cycles(&self, weight_atoms: &[u64], act_atoms: &[u64], input_layer: bool) -> u64 {
+        let workloads: Vec<ChannelWorkload> = weight_atoms
             .iter()
             .enumerate()
             .map(|(channel, &weight_atoms)| ChannelWorkload {
@@ -381,33 +361,19 @@ impl Fleet {
         .makespan()
     }
 
-    /// Deterministic resharding after deaths at layer `li`: layers
-    /// `li..` repartition over the group's remaining alive slots.
-    fn reshard(&self, state: &mut GroupState, li: usize) -> Result<(), EngineError> {
-        let alive_slots: Vec<usize> = (0..state.alive.len()).filter(|&s| state.alive[s]).collect();
-        let cfg: RistrettoConfig = *self.net.config();
-        for lj in li..self.net.layers().len() {
-            let atoms = self.net.layers()[lj].weight_atoms_per_out_channel();
-            let parts = partition_out_channels(&atoms, alive_slots.len());
-            let mut groups: Vec<Vec<usize>> = vec![Vec::new(); state.alive.len()];
-            for (i, &slot) in alive_slots.iter().enumerate() {
-                groups[slot] = parts[i].clone();
-            }
-            for (slot, group) in groups.iter().enumerate() {
-                let layer = if group.is_empty() {
-                    None
-                } else {
-                    Some(Arc::new(self.net.layers()[lj].shard(group, &cfg)?))
-                };
-                state.overrides.insert((slot, lj), layer);
-            }
-            state.channel_overrides.insert(lj, groups);
+    /// Compute cycles of `slot` at layer `li` (0 unless it is priced).
+    fn slot_cycles(&self, state: &GroupState, slot: usize, li: usize, act_atoms: &[u64]) -> u64 {
+        if !state.priced(slot, li) {
+            return 0;
         }
-        Ok(())
+        self.shard_cycles(&state.plan.atoms[li][slot], act_atoms, li == 0)
     }
 
     /// Runs one input through a sharded replica group, returning the
-    /// output tensor and the input's latency in cycles.
+    /// output tensor and the input's latency in cycles. Each layer runs
+    /// once through the fleet's session; every priced slot is then
+    /// charged its Eq 5 compute from its weight atoms and exchanges the
+    /// non-zeros of its channels in that one output.
     #[allow(clippy::too_many_arguments)]
     fn run_sharded_input(
         &self,
@@ -422,21 +388,20 @@ impl Fleet {
         reshards: &mut u64,
     ) -> Result<(Tensor3, u64), EngineError> {
         let cfg = self.net.config();
+        let slots = state.alive.len();
         let mut act = input.clone();
         let mut latency = 0u64;
-        for li in 0..self.net.layers().len() {
-            let atoms =
-                act_atoms_per_channel(&act, self.net.layers()[li].a_bits.bits(), cfg.atom_bits);
+        for (li, layer) in self.net.layers().iter().enumerate() {
+            let atoms = act_atoms_per_channel(&act, layer.a_bits.bits(), cfg.atom_bits);
             // Core deaths fire mid-layer: the aborted attempt's makespan is
-            // paid, the group reshards, and the layer re-executes.
+            // paid, and the group reshards before the layer re-runs.
             if let Some(campaign) = self.cfg.core_deaths {
-                let new_dead: Vec<usize> = (0..state.alive.len())
+                let new_dead: Vec<usize> = (0..slots)
                     .filter(|&s| state.alive[s] && campaign.decide(li, state.cores[s]))
                     .collect();
                 if !new_dead.is_empty() && new_dead.len() < state.alive_count() {
-                    let aborted = (0..state.alive.len())
-                        .filter(|&s| state.alive[s])
-                        .map(|s| self.shard_cycles(self.shard_layer(state, s, li), &atoms, li == 0))
+                    let aborted = (0..slots)
+                        .map(|s| self.slot_cycles(state, s, li, &atoms))
                         .max()
                         .unwrap_or(0);
                     latency += aborted;
@@ -446,61 +411,35 @@ impl Fleet {
                         *deaths += 1;
                         obs::record(obs::Event::FleetCoreDeaths, 1);
                     }
-                    self.reshard(state, li)?;
+                    state.plan = Cow::Owned(ShardPlan::over_alive(&self.net, &state.alive));
                     *reshards += 1;
                     obs::record(obs::Event::FleetReshards, 1);
                 }
             }
 
-            // Execute every alive slot's shard, in slot order (each shard
-            // parallelizes internally over channels).
-            let mut slot_out: Vec<Option<Tensor3>> = vec![None; state.alive.len()];
-            let mut compute: Vec<u64> = vec![0; state.alive.len()];
-            for slot in 0..state.alive.len() {
-                if !state.alive[slot] {
-                    continue;
-                }
-                let Some(layer) = self.shard_layer(state, slot, li) else {
-                    continue;
-                };
-                let scratch = atomstream::kernel::CscScratch::new();
-                let (out, _trace, layer_faults) = match campaign
-                    .map(crate::fault::FaultInjector::new)
-                {
-                    None => {
-                        let (out, trace) = layer.execute(self.net.csc_config(), &act, &scratch)?;
-                        (out, trace, FaultStats::default())
-                    }
-                    Some(inj) => layer.execute_with_faults(
-                        self.net.csc_config(),
-                        &act,
-                        &inj,
-                        li,
-                        cfg.acc_bits,
-                    )?,
-                };
-                faults.merge(&layer_faults);
-                compute[slot] = self.shard_cycles(Some(layer), &atoms, li == 0);
-                slot_out[slot] = Some(out);
-                obs::record(obs::Event::FleetShards, 1);
-            }
+            let (next, _trace, layer_faults) = self.session.run_layer_with(li, &act, campaign)?;
+            faults.merge(&layer_faults);
 
-            // Reassemble the full activation in global channel order.
-            let channels: Vec<Vec<usize>> = match state.channel_overrides.get(&li) {
-                Some(groups) => groups.clone(),
-                None => self.plan.layers[li].clone(),
-            };
-            let (next, slice_bits) =
-                assemble(&slot_out, &channels, self.net.layers()[li].out_bits as u64)?;
-
-            // Exchange: every alive slot broadcasts its slice, on its
-            // *global* NoC port (hybrid groups occupy a sub-range of the
-            // ring).
+            // Price every slot on its own channels of the one output, and
+            // exchange: each alive slot broadcasts its compressed slice on
+            // its *global* NoC port (hybrid groups occupy a sub-range of
+            // the ring).
+            let bits_per_nonzero = layer.out_bits as u64 + COO_META_BITS;
+            let mut compute = vec![0u64; slots];
             let mut global_bits = vec![0u64; self.cfg.cores];
             let mut global_alive = vec![false; self.cfg.cores];
-            for slot in 0..state.alive.len() {
-                global_bits[state.cores[slot]] = slice_bits[slot];
+            for slot in 0..slots {
                 global_alive[state.cores[slot]] = state.alive[slot];
+                if !state.priced(slot, li) {
+                    continue;
+                }
+                compute[slot] = self.slot_cycles(state, slot, li, &atoms);
+                let nonzero: usize = state.plan.layers[li][slot]
+                    .iter()
+                    .map(|&c| next.channel(c).iter().filter(|&&v| v != 0).count())
+                    .sum();
+                global_bits[state.cores[slot]] = nonzero as u64 * bits_per_nonzero;
+                obs::record(obs::Event::FleetShards, 1);
             }
             let comm = noc.all_gather(&global_bits, &global_alive);
             let compute_max = compute.iter().copied().max().unwrap_or(0);
@@ -572,7 +511,11 @@ impl Fleet {
                 act_atoms_per_channel(&act, self.net.layers()[li].a_bits.bits(), cfg.atom_bits);
             let (next, _trace, layer_faults) = self.session.run_layer_with(li, &act, campaign)?;
             faults.merge(&layer_faults);
-            let cycles = self.shard_cycles(Some(&self.net.layers()[li]), &atoms, li == 0);
+            let cycles = self.shard_cycles(
+                self.net.layers()[li].weight_atoms_per_channel(),
+                &atoms,
+                li == 0,
+            );
             latency += cycles;
             *busy += cycles;
             core_load[owner] += cycles;
@@ -587,8 +530,7 @@ impl Fleet {
     /// Runs a batch of inputs through the fleet.
     ///
     /// # Errors
-    /// Same surface as [`Session::run`], plus shard recompilation errors
-    /// from deterministic resharding after a core death.
+    /// Same surface as [`Session::run`].
     pub fn run(&self, inputs: &[Tensor3]) -> Result<FleetRun, EngineError> {
         let refs: Vec<&Tensor3> = inputs.iter().collect();
         self.run_with(&refs, self.net.config().faults)
@@ -659,8 +601,7 @@ impl Fleet {
                 .map(|g| GroupState {
                     cores: (g * group_size..(g + 1) * group_size).collect(),
                     alive: vec![true; group_size],
-                    overrides: HashMap::new(),
-                    channel_overrides: HashMap::new(),
+                    plan: Cow::Borrowed(&self.plan),
                 })
                 .collect();
             let mut group_time = vec![0u64; groups];
@@ -722,63 +663,50 @@ impl Fleet {
     }
 }
 
-/// Concatenates per-slot output slices back into the full activation
-/// (global channel order) and measures each slot's compressed slice bits
-/// for the exchange.
-fn assemble(
-    slot_out: &[Option<Tensor3>],
-    channels: &[Vec<usize>],
-    value_bits: u64,
-) -> Result<(Tensor3, Vec<u64>), EngineError> {
-    let (h, w) = slot_out
-        .iter()
-        .flatten()
-        .next()
-        .map(|t| {
-            let (_, h, w) = t.shape();
-            (h, w)
-        })
-        .expect("at least one slot produced output");
-    let total_c: usize = channels.iter().map(Vec::len).sum();
-    let mut next = Tensor3::zeros(total_c, h, w).map_err(atomstream::error::AtomError::from)?;
-    let mut slice_bits = vec![0u64; slot_out.len()];
-    for (slot, out) in slot_out.iter().enumerate() {
-        let Some(out) = out else { continue };
-        for (local, &global) in channels[slot].iter().enumerate() {
-            for y in 0..h {
-                for x in 0..w {
-                    let v = out.get(local, y, x);
-                    if v != 0 {
-                        next.set(global, y, x, v);
-                        slice_bits[slot] += value_bits + COO_META_BITS;
-                    }
-                }
-            }
-        }
-    }
-    Ok((next, slice_bits))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{compile, NetworkModel};
+    use crate::config::RistrettoConfig;
+    use crate::engine::{compile, CompiledLayer, NetworkModel};
+    use crate::fault::{CoreDeathConfig, FaultConfig};
+    use crate::pipeline::PipelineLayer;
     use qnn::mini::MiniNetwork;
     use qnn::models::NetworkId;
     use qnn::quant::BitWidth;
+    use qnn::tensor::Tensor4;
     use qnn::workload::{ActivationProfile, WeightProfile, WorkloadGen};
 
-    fn compiled_and_input(seed: u64) -> (Arc<CompiledNetwork>, Tensor3) {
-        let mini = MiniNetwork::try_new(NetworkId::GoogLeNet).unwrap();
+    fn compiled_and_inputs(
+        id: NetworkId,
+        seed: u64,
+        inputs: usize,
+    ) -> (Arc<CompiledNetwork>, Vec<Tensor3>) {
+        let mini = MiniNetwork::try_new(id).unwrap();
         let mut gen = WorkloadGen::new(seed);
         let wp = WeightProfile::benchmark(BitWidth::W4);
         let model = NetworkModel::from_mini(&mini, &mut gen, &wp).unwrap();
         let (c, h, w) = model.input;
-        let input = gen
-            .activations(c, h, w, &ActivationProfile::new(BitWidth::W8))
-            .unwrap();
+        let images = (0..inputs)
+            .map(|_| {
+                gen.activations(c, h, w, &ActivationProfile::new(BitWidth::W8))
+                    .unwrap()
+            })
+            .collect();
         let net = compile(&model, &RistrettoConfig::paper_default()).unwrap();
-        (net, input)
+        (net, images)
+    }
+
+    fn compiled_and_input(seed: u64) -> (Arc<CompiledNetwork>, Tensor3) {
+        let (net, mut inputs) = compiled_and_inputs(NetworkId::GoogLeNet, seed, 1);
+        (net, inputs.remove(0))
+    }
+
+    fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+            .install(f)
     }
 
     #[test]
@@ -788,13 +716,125 @@ mod tests {
             let plan = ShardPlan::compute(&net, cores);
             assert!(plan.verify(&net), "{cores} cores");
             assert_eq!(plan.group_size, cores);
-            // Digest is stable and sensitive.
-            assert_eq!(plan.digest(), ShardPlan::compute(&net, cores).digest());
         }
-        assert_ne!(
-            ShardPlan::compute(&net, 2).digest(),
-            ShardPlan::compute(&net, 4).digest()
-        );
+    }
+
+    /// The pricing oracle: every slot's weight atoms equal those of the
+    /// layer recompiled from its kernels sliced to the slot's channels.
+    #[test]
+    fn slot_weight_atoms_match_sliced_recompiles() {
+        for (i, id) in NetworkId::ALL.into_iter().enumerate() {
+            let (net, _) = compiled_and_inputs(id, 60 + i as u64, 0);
+            for slots in [2, 4, 8] {
+                let plan = ShardPlan::compute(&net, slots);
+                for (li, layer) in net.layers().iter().enumerate() {
+                    let (_, in_c, kh, kw) = layer.kernels().shape();
+                    for (slot, channels) in plan.layers[li].iter().enumerate() {
+                        let got = &plan.atoms[li][slot];
+                        if channels.is_empty() {
+                            assert!(got.iter().all(|&a| a == 0), "{id:?} layer {li}");
+                            continue;
+                        }
+                        let kernels =
+                            Tensor4::from_fn(channels.len(), in_c, kh, kw, |o, c, y, x| {
+                                layer.kernels().get(channels[o], c, y, x)
+                            })
+                            .unwrap();
+                        let sliced = PipelineLayer {
+                            name: layer.name().to_string(),
+                            kernels,
+                            geom: layer.geom,
+                            w_bits: layer.weights().w_bits(),
+                            a_bits: layer.a_bits,
+                            requant_shift: layer.requant_shift,
+                            out_bits: layer.out_bits,
+                            pool: layer.pool,
+                        };
+                        let reference = CompiledLayer::compile(&sliced, net.config()).unwrap();
+                        assert_eq!(
+                            got.as_slice(),
+                            reference.weight_atoms_per_channel(),
+                            "{id:?} x{slots} layer {li} slot {slot}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fault_campaigns_are_a_property_of_the_layer() {
+        let (net, input) = compiled_and_input(5);
+        let reference = Session::new(net.clone()).run(&input).unwrap().output;
+        let campaign = Some(FaultConfig::uniform(7, 20_000));
+        let run = |cfg: FleetConfig| {
+            Fleet::try_new(net.clone(), cfg)
+                .unwrap()
+                .run_with(&[&input], campaign)
+                .unwrap()
+        };
+        let one = run(FleetConfig::new(1, ShardStrategy::OutputChannel));
+        assert!(one.faults.total_injected() > 0, "campaign must fire");
+        let sharded = [
+            FleetConfig::new(2, ShardStrategy::OutputChannel),
+            FleetConfig::new(4, ShardStrategy::OutputChannel),
+            FleetConfig::new(8, ShardStrategy::OutputChannel),
+            FleetConfig::new(4, ShardStrategy::Hybrid(2)),
+        ];
+        for cfg in sharded {
+            for threads in [1, 4] {
+                let got = with_threads(threads, || run(cfg));
+                let label = format!("{} x{} at {threads} threads", cfg.strategy, cfg.cores);
+                assert_eq!(got.faults, one.faults, "{label}");
+                assert_eq!(got.outputs, std::slice::from_ref(&reference), "{label}");
+            }
+        }
+    }
+
+    /// The fleet twin of the session's zero-allocation steady state: every
+    /// layer runs through the fleet's one session and its arenas.
+    #[test]
+    fn fleet_steady_state_allocates_no_accumulator_planes() {
+        let (net, inputs) = compiled_and_inputs(NetworkId::GoogLeNet, 223, 5);
+        with_threads(1, || {
+            let fleet =
+                Fleet::try_new(net, FleetConfig::new(4, ShardStrategy::OutputChannel)).unwrap();
+            assert_eq!(fleet.session.scratch_plane_allocations(), 0);
+            fleet.run(&inputs[..1]).unwrap();
+            let after_first = fleet.session.scratch_plane_allocations();
+            assert!(after_first > 0, "first pass must populate the pools");
+            for input in &inputs[1..] {
+                fleet.run(std::slice::from_ref(input)).unwrap();
+                assert_eq!(fleet.session.scratch_plane_allocations(), after_first);
+            }
+        });
+    }
+
+    /// A core death reshards every layer, so the group's later inputs keep
+    /// the dead core's channels and pay exactly what the survivor alone
+    /// would.
+    #[test]
+    fn core_death_reshards_every_layer_for_later_inputs() {
+        for id in [NetworkId::ResNet18, NetworkId::GoogLeNet] {
+            let (net, inputs) = compiled_and_inputs(id, 53, 2);
+            let cfg = FleetConfig::new(2, ShardStrategy::OutputChannel)
+                .with_core_deaths(Some(CoreDeathConfig::new(7, 400_000)));
+            let fleet = Fleet::try_new(net.clone(), cfg).unwrap();
+            let both = fleet.run(&inputs).unwrap();
+            let first = fleet.run(&inputs[..1]).unwrap();
+            assert_eq!(both.report.core_deaths, 1, "{id:?}");
+            let expected = Session::new(net.clone()).run(&inputs[1]).unwrap().output;
+            assert_eq!(both.outputs[1], expected, "{id:?}");
+            let survivor = Fleet::try_new(net, FleetConfig::new(1, ShardStrategy::OutputChannel))
+                .unwrap()
+                .run(&inputs[1..])
+                .unwrap();
+            assert_eq!(
+                both.report.makespan_cycles - first.report.makespan_cycles,
+                survivor.report.makespan_cycles,
+                "{id:?}"
+            );
+        }
     }
 
     #[test]
