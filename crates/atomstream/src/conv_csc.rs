@@ -13,13 +13,12 @@ use crate::compress::{compress_activations, compress_weights};
 use crate::error::AtomError;
 use crate::flatten::{flatten_kernel_channel, flatten_tile, flatten_tile_into};
 use crate::intersect::{intersect, FullConvAcc, IntersectConfig, IntersectStats};
-use crate::kernel::{intersect_planned, CscScratch, WorkSlot};
+use crate::kernel::{intersect_planned, Arena, CscScratch, PlanSlot};
 use crate::stream::WeightStream;
 use qnn::conv::ConvGeometry;
 use qnn::error::QnnError;
 use qnn::quant::BitWidth;
 use qnn::tensor::{AccTensor3, Tensor3, Tensor4};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of a CSC convolution.
@@ -138,7 +137,6 @@ impl WeightStreamSet {
             });
         }
         let streams: Vec<WeightStream> = (0..i)
-            .into_par_iter()
             .map(|ci| {
                 let w_flat = flatten_kernel_channel(kernels, ci)?;
                 compress_weights(&w_flat, w_bits.bits(), atom_bits)
@@ -163,11 +161,15 @@ impl WeightStreamSet {
     /// reconstructed streams before the set is accepted, so a persisted
     /// artifact whose stream bytes drifted from its recorded checksums is
     /// rejected with the same typed error the online integrity monitor
-    /// raises.
+    /// raises. Every entry's output channel is checked against
+    /// `out_channels`, so a consistent but out-of-range stream is rejected
+    /// here rather than when a kernel addresses its accumulator.
     ///
     /// # Errors
     /// Returns [`AtomError::StreamChecksumMismatch`] naming the first
-    /// channel whose recomputed digest disagrees with the recorded one.
+    /// channel whose recomputed digest disagrees with the recorded one,
+    /// and [`AtomError::WeightOutChannelOutOfRange`] naming the first entry
+    /// that addresses an output channel `≥ out_channels`.
     ///
     /// # Panics
     /// Panics if `checksums` and `streams` differ in length; callers
@@ -195,8 +197,18 @@ impl WeightStreamSet {
             w_bits,
             atom_bits,
         };
-        for channel in 0..set.in_channels {
+        for (channel, stream) in set.streams.iter().enumerate() {
             set.verify_channel(channel)?;
+            for (index, e) in stream.entries().iter().enumerate() {
+                if e.out_ch as usize >= out_channels {
+                    return Err(AtomError::WeightOutChannelOutOfRange {
+                        channel,
+                        index,
+                        out_ch: e.out_ch,
+                        out_channels,
+                    });
+                }
+            }
         }
         Ok(set)
     }
@@ -360,12 +372,16 @@ fn validate_run(
 /// [`WeightStreamSet::compile`] followed by this function on a fresh
 /// arena, so both paths produce byte-identical outputs and [`CscStats`].
 ///
-/// Retaining the arena across calls (one arena per layer, as the inference
-/// engine's `Session` does) amortizes weight-plan compilation and makes
-/// steady-state inference allocate zero accumulator planes per input; see
+/// Input channels run on the calling thread, in channel order, each
+/// intersecting straight into the arena's one accumulator; the first
+/// failing channel ends the call with its error. Retaining the arena
+/// across calls (one arena per layer, as the inference engine's `Session`
+/// does) amortizes weight-plan compilation and makes steady-state
+/// inference allocate zero accumulator planes per input; see
 /// [`CscScratch`]. Results — output, [`CscStats`] and recorded
 /// observability events — are byte-identical to
-/// [`conv2d_csc_streams_reference`] on every input, with any arena state.
+/// [`conv2d_csc_streams_reference`] on every input it accepts, with any
+/// arena state.
 ///
 /// ```
 /// use atomstream::conv_csc::{conv2d_csc, conv2d_csc_streams_with, CscConfig, WeightStreamSet};
@@ -405,105 +421,82 @@ pub fn conv2d_csc_streams_with(
         multipliers: cfg.multipliers,
     };
 
-    // Input channels are independent until the final accumulation, so fan
-    // them out: each channel intersects into its own checked-out scratch
-    // accumulator, merged afterwards in channel order. i64 plane addition
-    // commutes, so the merged result is bit-identical to the sequential
-    // single-accumulator path regardless of the thread count.
-    let per_channel: Vec<Result<(Option<WorkSlot>, CscStats), AtomError>> = (0..c)
-        .into_par_iter()
-        .map(|ci| {
-            let mut stats = CscStats::default();
-            // Online integrity monitor: reject a weight stream whose bits
-            // changed since compilation before it can pollute the
-            // accumulate buffer.
-            weights.verify_channel(ci)?;
-            // The static stream was compiled offline; only its size is
-            // accounted here so stats match the compile-inline path.
-            let w_stream = weights.stream(ci);
-            stats.weight_atoms += w_stream.len() as u64;
-            if w_stream.is_empty() {
-                return Ok((None, stats));
-            }
-
-            // Pre-intersection filter, activation side: one pass over the
-            // channel plane yields the per-tile occupancy bitmap. An
-            // entirely zero channel is skipped before any accumulator is
-            // even checked out (merging its zero planes would be the
-            // identity).
-            let mut slot = scratch.checkout(o, h, w, k)?;
-            slot.occ
-                .scan(fmap.channel(ci), h, w, cfg.tile_h, cfg.tile_w);
-            if slot.occ.total() == 0 {
-                scratch.checkin(slot);
-                return Ok((None, stats));
-            }
-
-            // Static side: the channel's weight stream compiled into (or
-            // fetched from) the plan cache, keyed by its checksum so the
-            // verified bits and the executed plan can never diverge.
-            let (fh, fw) = slot.acc.plane_shape();
-            let plan_slot = scratch.plan_slot(ci);
-            let mut plan_guard = plan_slot.lock().expect("plan slot lock");
-            let plan = plan_guard.prepare(w_stream, weights.checksum(ci), k, o, fh, fw)?;
-            plan.planes_into(&mut slot.dirty);
-
-            // Online phase: walk only the occupied tiles; the Atomizer
-            // squeezes zero atoms out of each tile's non-zero activations
-            // on the fly, into reused scratch buffers.
-            for (ty, y0) in (0..h).step_by(cfg.tile_h).enumerate() {
-                for (tx, x0) in (0..w).step_by(cfg.tile_w).enumerate() {
-                    if !slot.occ.occupied(ty, tx) {
-                        continue;
-                    }
-                    flatten_tile_into(fmap, ci, y0, x0, cfg.tile_h, cfg.tile_w, &mut slot.flat);
-                    let a_stream = compress_activations(&slot.flat, a_bits.bits(), cfg.atom_bits)?;
-                    stats.act_values += a_stream.value_count() as u64;
-                    stats.act_atoms += a_stream.len() as u64;
-                    stats.tiles_processed += 1;
-                    let s = intersect_planned(
-                        plan,
-                        &a_stream,
-                        icfg,
-                        &mut slot.acc,
-                        y0,
-                        x0,
-                        &mut slot.folded,
-                    );
-                    stats.intersect.merge(&s);
-                }
-            }
-            drop(plan_guard);
-            Ok((Some(slot), stats))
-        })
-        .collect();
-
-    // Merge in channel order into the first non-empty channel's slot —
-    // plane-granular, so only the planes actually written move.
+    // One lock for the whole convolution: every input channel adds into
+    // the arena's one accumulator, in channel order (§IV-C2).
+    let mut arena = scratch.lock();
+    let Arena { plans, work } = &mut *arena;
+    plans.resize_with(plans.len().max(c), PlanSlot::default);
     let mut stats = CscStats::default();
-    let mut base: Option<WorkSlot> = None;
-    for result in per_channel {
-        let (slot, channel_stats) = result?;
-        stats.merge(&channel_stats);
-        if let Some(slot) = slot {
-            match base.as_mut() {
-                None => base = Some(slot),
-                Some(b) => {
-                    b.acc.merge_planes_from(&slot.acc, &slot.dirty);
-                    b.dirty.extend_from_slice(&slot.dirty);
-                    scratch.checkin(slot);
+    let mut taken = false;
+    for (ci, plan_slot) in plans[..c].iter_mut().enumerate() {
+        // Online integrity monitor: reject a weight stream whose bits
+        // changed since compilation before it can pollute the accumulate
+        // buffer.
+        weights.verify_channel(ci)?;
+        // The static stream was compiled offline; only its size is
+        // accounted here so stats match the compile-inline path.
+        let w_stream = weights.stream(ci);
+        stats.weight_atoms += w_stream.len() as u64;
+        if w_stream.is_empty() {
+            continue;
+        }
+        // The first channel with weights takes the accumulator; later
+        // channels add into it.
+        let slot = match work {
+            Some(slot) if taken => slot,
+            _ => {
+                taken = true;
+                scratch.checkout(work, o, h, w, k)?
+            }
+        };
+
+        // Pre-intersection filter, activation side: one pass over the
+        // channel plane yields the per-tile occupancy bitmap. An entirely
+        // zero channel contributes nothing.
+        slot.occ
+            .scan(fmap.channel(ci), h, w, cfg.tile_h, cfg.tile_w);
+        if slot.occ.total() == 0 {
+            continue;
+        }
+
+        // Static side: the channel's weight stream compiled into (or
+        // fetched from) the plan cache, keyed by its checksum so the
+        // verified bits and the executed plan can never diverge.
+        let (fh, fw) = slot.acc.plane_shape();
+        let plan = plan_slot.prepare(w_stream, weights.checksum(ci), k, o, fh, fw)?;
+        plan.planes_into(&mut slot.dirty);
+
+        // Online phase: walk only the occupied tiles; the Atomizer
+        // squeezes zero atoms out of each tile's non-zero activations on
+        // the fly, into reused scratch buffers.
+        for (ty, y0) in (0..h).step_by(cfg.tile_h).enumerate() {
+            for (tx, x0) in (0..w).step_by(cfg.tile_w).enumerate() {
+                if !slot.occ.occupied(ty, tx) {
+                    continue;
                 }
+                flatten_tile_into(fmap, ci, y0, x0, cfg.tile_h, cfg.tile_w, &mut slot.flat);
+                let a_stream = compress_activations(&slot.flat, a_bits.bits(), cfg.atom_bits)?;
+                stats.act_values += a_stream.value_count() as u64;
+                stats.act_atoms += a_stream.len() as u64;
+                stats.tiles_processed += 1;
+                let s = intersect_planned(
+                    plan,
+                    &a_stream,
+                    icfg,
+                    &mut slot.acc,
+                    y0,
+                    x0,
+                    &mut slot.folded,
+                );
+                stats.intersect.merge(&s);
             }
         }
     }
 
-    let output = match &base {
-        Some(b) => b.acc.extract(geom, out_h, out_w)?,
-        None => AccTensor3::zeros(o, out_h, out_w)?,
+    let output = match work {
+        Some(slot) if taken => slot.acc.extract(geom, out_h, out_w)?,
+        _ => AccTensor3::zeros(o, out_h, out_w)?,
     };
-    if let Some(b) = base {
-        scratch.checkin(b);
-    }
     Ok(CscOutput { output, stats })
 }
 
@@ -514,7 +507,8 @@ pub fn conv2d_csc_streams_with(
 /// Kept verbatim as the differential oracle's "before" side: the
 /// production path ([`conv2d_csc_streams_with`]) must be byte-identical to
 /// this function — output, stats and recorded observability events — on
-/// every input, which `repro diffcheck` and the determinism suites verify.
+/// every input it accepts, which `repro diffcheck` and the determinism
+/// suites verify.
 /// It is also the baseline the `BENCH_*.json` trajectory measures speedups
 /// against.
 ///
@@ -533,10 +527,9 @@ pub fn conv2d_csc_streams_reference(
         multipliers: cfg.multipliers,
     };
 
-    // Per-channel fan-out, fresh accumulators, full-plane merge: the
+    // A fresh accumulator per channel, merged in channel order: the
     // original kernel structure.
-    let per_channel: Vec<Result<(Option<FullConvAcc>, CscStats), AtomError>> = (0..c)
-        .into_par_iter()
+    let per_channel: Vec<(Option<FullConvAcc>, CscStats)> = (0..c)
         .map(|ci| {
             let mut stats = CscStats::default();
             weights.verify_channel(ci)?;
@@ -563,12 +556,11 @@ pub fn conv2d_csc_streams_reference(
             }
             Ok((Some(acc), stats))
         })
-        .collect();
+        .collect::<Result<_, AtomError>>()?;
 
     let mut acc = FullConvAcc::new(o, h, w, k)?;
     let mut stats = CscStats::default();
-    for result in per_channel {
-        let (channel_acc, channel_stats) = result?;
+    for (channel_acc, channel_stats) in per_channel {
         if let Some(channel_acc) = channel_acc {
             acc.merge(&channel_acc);
         }
@@ -824,6 +816,29 @@ mod tests {
             run,
             Err(AtomError::StreamChecksumMismatch { channel: 1, .. })
         ));
+    }
+
+    #[test]
+    fn failed_convolution_leaves_the_arena_clean() {
+        let kernels = Tensor4::from_fn(3, 2, 2, 2, |o, i, y, x| ((o + i + y + x) % 5) as i32 - 2);
+        let weights =
+            WeightStreamSet::compile(&kernels.unwrap(), BitWidth::W4, AtomBits::B2).unwrap();
+        let (geom, cfg) = (ConvGeometry::default(), CscConfig::default());
+        let run = |fmap: &Tensor3, scratch: &CscScratch| {
+            conv2d_csc_streams_with(fmap, &weights, geom, BitWidth::W4, &cfg, scratch)
+        };
+        // Channel 0 fits 4 bits and writes planes; channel 1 holds a value
+        // too wide for 4 bits, so the call fails after channel 0 ran.
+        let bad = Tensor3::from_fn(2, 4, 4, |c, y, x| [(y + x) as i32 % 3, 99][c]).unwrap();
+        let scratch = CscScratch::new();
+        let err = run(&bad, &scratch).unwrap_err();
+        assert_eq!(err, AtomError::ValueTooWide { value: 99, bits: 4 });
+        assert!(!scratch.lock().work.as_ref().unwrap().dirty.is_empty());
+        // The next convolution zeroes what the failed one wrote.
+        let good = Tensor3::from_fn(2, 4, 4, |c, y, x| ((c + y * x) % 4) as i32).unwrap();
+        let reused = run(&good, &scratch).unwrap();
+        assert_eq!(reused, run(&good, &CscScratch::new()).unwrap());
+        assert_eq!(scratch.plane_allocations(), 1);
     }
 
     #[test]

@@ -67,6 +67,19 @@ pub enum AtomError {
         /// Kernel extent the accumulator was built for.
         kernel: usize,
     },
+    /// A weight stream entry addresses an output channel the stream set
+    /// does not have (the accumulator plane it would write does not
+    /// exist).
+    WeightOutChannelOutOfRange {
+        /// Input channel whose stream holds the entry.
+        channel: usize,
+        /// Index of the offending entry in that stream.
+        index: usize,
+        /// The entry's output channel.
+        out_ch: u16,
+        /// Output channels the stream set covers.
+        out_channels: usize,
+    },
     /// An error bubbled up from the `qnn` substrate.
     Qnn(qnn::error::QnnError),
 }
@@ -126,6 +139,18 @@ impl fmt::Display for AtomError {
                     f,
                     "weight atom {index} at kernel coordinate ({y}, {x}) exceeds \
                      kernel extent {kernel}"
+                )
+            }
+            AtomError::WeightOutChannelOutOfRange {
+                channel,
+                index,
+                out_ch,
+                out_channels,
+            } => {
+                write!(
+                    f,
+                    "weight atom {index} of channel {channel} addresses output channel \
+                     {out_ch}, but the layer has {out_channels}"
                 )
             }
             AtomError::Qnn(e) => write!(f, "substrate error: {e}"),

@@ -218,9 +218,9 @@ impl FullConvAcc {
     }
 
     /// Adds another accumulator plane-wise (`self += other`). Used to merge
-    /// per-channel (or per-thread) partial accumulators: i64 addition
-    /// commutes, so any merge order reproduces the sequential result
-    /// bit-exactly.
+    /// partial accumulators (the reference kernel's per-channel planes, a
+    /// fault-checked tile pass): i64 addition commutes, so any merge order
+    /// reproduces the sequential result bit-exactly.
     ///
     /// # Panics
     /// Panics if the two accumulators were built for different shapes.
@@ -234,36 +234,9 @@ impl FullConvAcc {
         }
     }
 
-    /// Adds the listed output-channel planes of `other` into `self`
-    /// (`self[p] += other[p]` for each plane `p`). The plane-granular
-    /// counterpart of [`FullConvAcc::merge`]: a scratch-arena kernel that
-    /// tracked which planes it touched merges only those, leaving the
-    /// (all-zero) rest of both accumulators untouched. Byte-identical to a
-    /// full [`FullConvAcc::merge`] whenever `other`'s unlisted planes are
-    /// zero, since adding zero planes is the identity.
-    ///
-    /// # Panics
-    /// Panics if the shapes differ or a plane index is out of range.
-    pub fn merge_planes_from(&mut self, other: &FullConvAcc, planes: &[u16]) {
-        assert!(
-            self.out_c == other.out_c && self.fh == other.fh && self.fw == other.fw,
-            "accumulator shape mismatch"
-        );
-        let plane = self.fh * self.fw;
-        for &p in planes {
-            let p = p as usize;
-            assert!(p < self.out_c, "plane index out of bounds");
-            let range = p * plane..(p + 1) * plane;
-            for (dst, src) in self.data[range.clone()].iter_mut().zip(&other.data[range]) {
-                *dst += src;
-            }
-        }
-    }
-
     /// Zeroes the listed output-channel planes — the dirty-region reset a
-    /// scratch arena performs before returning an accumulator to its pool,
-    /// proportional to the planes actually written instead of the whole
-    /// allocation.
+    /// scratch arena performs before reusing an accumulator, proportional
+    /// to the planes actually written instead of the whole allocation.
     ///
     /// # Panics
     /// Panics if a plane index is out of range.
@@ -276,8 +249,8 @@ impl FullConvAcc {
         }
     }
 
-    /// Whether every accumulator word is zero (the pool invariant a scratch
-    /// arena maintains between checkouts).
+    /// Whether every accumulator word is zero (the invariant a scratch
+    /// arena restores at every checkout).
     pub fn is_all_zero(&self) -> bool {
         self.data.iter().all(|&v| v == 0)
     }
@@ -805,27 +778,6 @@ mod tests {
         assert_eq!(a.atom_mults, u64::MAX);
         assert_eq!(a.deliveries, 6);
         assert_eq!(a.segments, 5);
-    }
-
-    #[test]
-    fn plane_granular_merge_matches_full_merge() {
-        let a1 = acts(&[(9, 0, 0), (5, 1, 0)], 4);
-        let w = weights(&[(7, 0, 0, 0), (-5, 1, 1, 2)], 4);
-        let cfg = IntersectConfig::default();
-        let mut full = FullConvAcc::new(3, 2, 2, 2).unwrap();
-        let mut part = FullConvAcc::new(3, 2, 2, 2).unwrap();
-        intersect(&w, &a1, cfg, &mut part, 0, 0).unwrap();
-        // Full merge of `part` vs plane-granular merge of only the planes
-        // the weight stream touches (0 and 2): identical, because plane 1
-        // of `part` is zero.
-        let mut via_full = full.clone();
-        via_full.merge(&part);
-        full.merge_planes_from(&part, &[0, 2]);
-        assert_eq!(full, via_full);
-        // Dirty-region reset restores the all-zero pool invariant.
-        assert!(!part.is_all_zero());
-        part.zero_planes(&[0, 2]);
-        assert!(part.is_all_zero());
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //!
 //! Three structural levels separate this kernel from the reference:
 //!
-//! 1. **Zero-alloc scratch arena** ([`CscScratch`]) — per-channel
-//!    [`FullConvAcc`] planes, the folded-value vec and the flattened-tile
-//!    vec are pooled and reused across convolutions. Planes are returned to
-//!    the pool with a *dirty-region reset* (only the output-channel planes
-//!    the weight plan actually wrote are zeroed), so steady-state inference
+//! 1. **Zero-alloc scratch arena** ([`CscScratch`]) — one [`FullConvAcc`]
+//!    per layer, which every input channel adds into in channel order,
+//!    plus the folded-value and flattened-tile vecs, reused across
+//!    convolutions. The next convolution to take the accumulator performs
+//!    a *dirty-region reset* (only the output-channel planes the weight
+//!    plans actually wrote are zeroed), so steady-state inference
 //!    allocates no accumulator planes per input.
 //! 2. **Bitmap / inner-join pre-intersection filter** — a one-pass
 //!    `TileOccupancy` scan of the channel plane produces a per-tile
@@ -44,13 +45,16 @@
 //! - *Skipping*: a tile is skipped iff its occupancy count is zero iff its
 //!   flattened stream is empty — exactly the tiles the reference skips.
 //!   An all-zero channel contributes an all-zero accumulator in the
-//!   reference, which is the identity under plane merge.
+//!   reference, which is the identity under plane merge, and nothing here.
+//! - *One accumulator*: the reference merges per-channel accumulators in
+//!   channel order; here every channel adds straight into one. Both sum
+//!   the same `i64` products into the same cells.
 //!
 //! The dual-kernel differential oracle in `bench`'s `diffcheck` plus the
 //! determinism suites enforce this equivalence on every run.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Mutex, MutexGuard};
 
 use crate::error::AtomError;
 use crate::intersect::{
@@ -378,14 +382,16 @@ pub(crate) fn intersect_planned(
     stats
 }
 
-/// One checked-out unit of reusable per-channel working state: the
-/// accumulator planes, the dirty-plane list, and the flatten/fold buffers.
+/// The working state one convolution takes from its arena: the layer's
+/// accumulator, the planes written into it, and the flatten, fold and
+/// occupancy buffers.
 #[derive(Debug)]
 pub(crate) struct WorkSlot {
-    /// The channel's full-convolution accumulator (all-zero at checkout).
+    /// The layer's full-convolution accumulator; every input channel adds
+    /// into it (all-zero at checkout).
     pub(crate) acc: FullConvAcc,
     /// Output-channel planes written since checkout (possibly with
-    /// duplicates; sorted and deduplicated at check-in).
+    /// duplicates; sorted and deduplicated at the next checkout).
     pub(crate) dirty: Vec<u16>,
     /// Reusable flatten buffer for one tile's non-zero values.
     pub(crate) flat: Vec<crate::flatten::FlatActivation>,
@@ -395,26 +401,37 @@ pub(crate) struct WorkSlot {
     pub(crate) occ: TileOccupancy,
 }
 
+/// What a [`CscScratch`] holds behind its one lock.
+#[derive(Debug, Default)]
+pub(crate) struct Arena {
+    /// Compiled weight plans, one per input channel.
+    pub(crate) plans: Vec<PlanSlot>,
+    /// The last convolution's working state; `None` until one takes it.
+    pub(crate) work: Option<WorkSlot>,
+}
+
 /// The reusable scratch arena threaded through
 /// [`crate::conv_csc::conv2d_csc_streams_with`]: compiled weight plans
-/// (one per input channel) plus a pool of `WorkSlot`s whose accumulator
-/// planes are recycled across convolutions.
+/// (one per input channel) plus one accumulator that every input channel
+/// adds into, in channel order — the accumulate buffer of §IV-C2.
 ///
 /// A `CscScratch` retained across [`conv2d_csc_streams_with`] calls (as
 /// the inference engine's `Session` does, one arena per layer) makes
 /// steady-state inference allocate **zero** accumulator planes per input:
-/// after warm-up every checkout is served from the pool, observable via
-/// [`CscScratch::plane_allocations`]. A fresh arena per call degrades
-/// gracefully to the reference kernel's allocation behaviour.
+/// after the first convolution every checkout reuses the one accumulator,
+/// observable via [`CscScratch::plane_allocations`]. A fresh arena per
+/// call allocates one accumulator per call.
 ///
-/// Pool invariant: every pooled accumulator is all-zero. Check-in restores
-/// it by zeroing only the dirty planes — O(planes written), not O(pool).
+/// The accumulator is all-zero whenever a convolution takes it: checkout
+/// zeroes exactly the planes the previous convolution dirtied — O(planes
+/// written), not O(planes) — so a convolution that returned early with an
+/// error leaves nothing behind. A convolution holds the lock from start to
+/// finish, so concurrent calls on one arena take turns.
 ///
 /// [`conv2d_csc_streams_with`]: crate::conv_csc::conv2d_csc_streams_with
 #[derive(Debug, Default)]
 pub struct CscScratch {
-    plans: Mutex<Vec<Arc<Mutex<PlanSlot>>>>,
-    slots: Mutex<Vec<WorkSlot>>,
+    arena: Mutex<Arena>,
     plane_allocs: AtomicU64,
 }
 
@@ -425,73 +442,65 @@ impl CscScratch {
     }
 
     /// Number of `FullConvAcc` plane allocations this arena has performed
-    /// since creation. In steady state (same layer shapes, same thread
-    /// count) this stays constant across further inputs — the zero-alloc
-    /// property the engine's scratch-reuse test pins.
+    /// since creation: one for the first convolution, plus one per change
+    /// of layer shape. In steady state this stays constant across further
+    /// inputs — the zero-alloc property the engine's scratch-reuse test
+    /// pins.
     pub fn plane_allocations(&self) -> u64 {
         self.plane_allocs.load(Ordering::Relaxed)
     }
 
-    /// The plan cache slot for input channel `ci`.
-    pub(crate) fn plan_slot(&self, ci: usize) -> Arc<Mutex<PlanSlot>> {
-        let mut plans = self.plans.lock().expect("plan cache lock");
-        while plans.len() <= ci {
-            plans.push(Arc::new(Mutex::new(PlanSlot::default())));
-        }
-        Arc::clone(&plans[ci])
+    /// Locks the arena for one convolution.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, Arena> {
+        self.arena
+            .lock()
+            .expect("scratch arena poisoned by a panicked convolution")
     }
 
-    /// Checks out a work slot whose accumulator matches the requested
-    /// shape, allocating one only when the pool has no match.
+    /// Readies `work` for a convolution of this shape and returns it:
+    /// the held accumulator with the planes its last convolution dirtied
+    /// zeroed when the shape matches, a newly allocated one otherwise.
     ///
     /// # Errors
     /// Propagates [`FullConvAcc::new`] geometry errors.
-    pub(crate) fn checkout(
+    pub(crate) fn checkout<'a>(
         &self,
+        work: &'a mut Option<WorkSlot>,
         out_c: usize,
         in_h: usize,
         in_w: usize,
         k: usize,
-    ) -> Result<WorkSlot, QnnError> {
-        // Validate the shape (including overflow) before touching the pool
-        // so degenerate geometry errors are identical with and without
-        // pooled slots.
-        let probe_fh = in_h.checked_add(k.wrapping_sub(1));
-        let probe_fw = in_w.checked_add(k.wrapping_sub(1));
-        {
-            let mut slots = self.slots.lock().expect("slot pool lock");
-            if let (Some(fh), Some(fw)) = (probe_fh, probe_fw) {
-                if let Some(i) = slots.iter().position(|s| {
-                    s.acc.out_channels() == out_c
-                        && s.acc.plane_shape() == (fh, fw)
-                        && s.acc.kernel() == k
-                }) {
-                    let slot = slots.swap_remove(i);
-                    debug_assert!(slot.acc.is_all_zero(), "pooled accumulator not reset");
-                    return Ok(slot);
+    ) -> Result<&'a mut WorkSlot, QnnError> {
+        // An overflowing shape matches no held accumulator and reaches
+        // `FullConvAcc::new`, which rejects it.
+        let plane = in_h
+            .checked_add(k.wrapping_sub(1))
+            .zip(in_w.checked_add(k.wrapping_sub(1)));
+        let held = work.take().filter(|slot| {
+            slot.acc.out_channels() == out_c
+                && Some(slot.acc.plane_shape()) == plane
+                && slot.acc.kernel() == k
+        });
+        let mut slot = match held {
+            Some(slot) => slot,
+            None => {
+                let acc = FullConvAcc::new(out_c, in_h, in_w, k)?;
+                self.plane_allocs.fetch_add(1, Ordering::Relaxed);
+                WorkSlot {
+                    acc,
+                    dirty: Vec::new(),
+                    flat: Vec::new(),
+                    folded: FoldedValues::default(),
+                    occ: TileOccupancy::default(),
                 }
             }
-        }
-        let acc = FullConvAcc::new(out_c, in_h, in_w, k)?;
-        self.plane_allocs.fetch_add(1, Ordering::Relaxed);
-        Ok(WorkSlot {
-            acc,
-            dirty: Vec::new(),
-            flat: Vec::new(),
-            folded: FoldedValues::default(),
-            occ: TileOccupancy::default(),
-        })
-    }
-
-    /// Returns a slot to the pool, restoring the all-zero invariant by
-    /// zeroing exactly the dirty planes.
-    pub(crate) fn checkin(&self, mut slot: WorkSlot) {
+        };
         slot.dirty.sort_unstable();
         slot.dirty.dedup();
         slot.acc.zero_planes(&slot.dirty);
         slot.dirty.clear();
         debug_assert!(slot.acc.is_all_zero(), "dirty-region reset incomplete");
-        self.slots.lock().expect("slot pool lock").push(slot);
+        Ok(work.insert(slot))
     }
 }
 
@@ -650,37 +659,37 @@ mod tests {
     #[test]
     fn scratch_pool_reuses_planes_and_keeps_them_zero() {
         let scratch = CscScratch::new();
-        let slot = scratch.checkout(2, 3, 3, 2).unwrap();
-        assert_eq!(scratch.plane_allocations(), 1);
-        scratch.checkin(slot);
-        // Same shape: served from the pool, no new allocation.
-        let mut slot = scratch.checkout(2, 3, 3, 2).unwrap();
+        let mut arena = scratch.lock();
+        let slot = scratch.checkout(&mut arena.work, 2, 3, 3, 2).unwrap();
         assert_eq!(scratch.plane_allocations(), 1);
         assert!(slot.acc.is_all_zero());
-        // Dirty a plane, check in, and verify the reset restored zeros.
+        // Dirty a plane; the next checkout of the same shape reuses the
+        // accumulator and zeroes exactly what was dirtied.
         slot.acc.add(1, 0, 0, 42);
         slot.dirty.push(1);
         slot.dirty.push(1);
-        scratch.checkin(slot);
-        let slot = scratch.checkout(2, 3, 3, 2).unwrap();
+        let slot = scratch.checkout(&mut arena.work, 2, 3, 3, 2).unwrap();
         assert!(slot.acc.is_all_zero());
+        assert!(slot.dirty.is_empty());
         assert_eq!(scratch.plane_allocations(), 1);
         // A different shape allocates a second accumulator.
-        let other = scratch.checkout(1, 2, 2, 1).unwrap();
+        let other = scratch.checkout(&mut arena.work, 1, 2, 2, 1).unwrap();
+        assert_eq!(other.acc.out_channels(), 1);
         assert_eq!(scratch.plane_allocations(), 2);
-        scratch.checkin(slot);
-        scratch.checkin(other);
     }
 
     #[test]
     fn scratch_checkout_propagates_geometry_errors() {
         let scratch = CscScratch::new();
+        let mut arena = scratch.lock();
         assert!(matches!(
-            scratch.checkout(1, usize::MAX, 1, 2).unwrap_err(),
+            scratch
+                .checkout(&mut arena.work, 1, usize::MAX, 1, 2)
+                .unwrap_err(),
             QnnError::ExtentOverflow { .. }
         ));
         assert!(matches!(
-            scratch.checkout(0, 1, 1, 1).unwrap_err(),
+            scratch.checkout(&mut arena.work, 0, 1, 1, 1).unwrap_err(),
             QnnError::EmptyDimension(_)
         ));
     }

@@ -2,7 +2,6 @@
 
 use hwmodel::EnergyBreakdown;
 use qnn::workload::{LayerStats, NetworkStats};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Result of simulating one layer on a baseline accelerator.
@@ -64,19 +63,15 @@ pub trait Backend: Sync {
     /// Simulates one layer from its statistics.
     fn simulate_layer(&self, stats: &LayerStats) -> BaselineLayerReport;
 
-    /// Simulates a whole network. Layers are independent, so they run in
-    /// parallel; results are collected back in layer order, keeping the
-    /// report identical to a sequential sweep.
+    /// Simulates a whole network, one layer after another on the calling
+    /// thread. Callers that want parallelism fan out over networks or
+    /// backends, as the `bench` harness does.
     fn simulate_network(&self, net: &NetworkStats) -> BaselineNetworkReport {
         BaselineNetworkReport {
             accelerator: self.name().to_string(),
             network: net.id.name().to_string(),
             precision: net.policy.label(),
-            layers: net
-                .layers
-                .par_iter()
-                .map(|l| self.simulate_layer(l))
-                .collect(),
+            layers: net.layers.iter().map(|l| self.simulate_layer(l)).collect(),
         }
     }
 }

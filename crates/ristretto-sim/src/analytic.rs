@@ -12,7 +12,6 @@ use crate::energy::{RistrettoEnergyModel, COO_META_BITS};
 use crate::report::{LayerReport, NetworkReport};
 use hwmodel::{ComponentLib, EnergyCounter, TechNode};
 use qnn::workload::{LayerStats, NetworkStats};
-use rayon::prelude::*;
 
 /// A configured Ristretto simulator.
 #[derive(Debug, Clone)]
@@ -257,10 +256,7 @@ impl RistrettoSim {
     /// Simulates a whole network (layers sequentially; the first layer is
     /// never balanced).
     pub fn simulate_network(&self, net: &NetworkStats) -> NetworkReport {
-        // Layers are modeled independently (only layer 0 differs, by the
-        // `input_layer` flag); fan out and collect back in layer order.
         let layers = (0..net.layers.len())
-            .into_par_iter()
             .map(|i| self.simulate_layer(&net.layers[i], i == 0))
             .collect();
         NetworkReport {

@@ -19,7 +19,6 @@ use atomstream::flatten::flatten_tile;
 use atomstream::stream::{ActivationStream, WeightStream};
 use qnn::error::QnnError;
 use qnn::tensor::{Tensor3, Tensor4};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
@@ -133,10 +132,7 @@ impl CoreSim {
         a_bits: u8,
     ) -> Result<Vec<Vec<ActivationStream>>, AtomError> {
         let (c, h, w) = fmap.shape();
-        // Channels are independent; build them in parallel, collected back in
-        // channel order so every downstream consumer sees the serial layout.
         (0..c)
-            .into_par_iter()
             .map(|ci| {
                 let mut tiles = Vec::new();
                 for y0 in (0..h).step_by(self.cfg.tile_h) {
@@ -192,10 +188,8 @@ impl CoreSim {
     /// otherwise. With `None`, every tile runs [`TileSim::run`] once and
     /// the returned [`FaultStats`] are all zero.
     ///
-    /// Byte-deterministic for a given campaign seed at any thread count:
-    /// every injection decision is a pure hash of its site, and group
-    /// results (including the merged [`FaultStats`]) collect in group
-    /// order.
+    /// Byte-deterministic for a given campaign seed: every injection
+    /// decision is a pure hash of its site, and groups run in group order.
     ///
     /// # Errors
     /// Propagates atomization errors, a channel-count mismatch between the
@@ -246,15 +240,13 @@ impl CoreSim {
         );
 
         let tile_sim = TileSim::new(&self.cfg);
-        // One simulated tile per group; tiles never interact, so they run in
-        // parallel. Results come back in group order, so the report is
-        // byte-identical to the serial loop.
-        let results: Vec<(TileReport, FaultStats)> = assignment
+        // One simulated tile per group, in group order.
+        let mut stats = FaultStats::default();
+        let tiles: Vec<TileReport> = assignment
             .groups
-            .par_iter()
+            .iter()
             .map(|group| {
                 let mut agg = TileReport::default();
-                let mut stats = FaultStats::default();
                 for &ci in group {
                     // Always-on weight-path integrity monitor: the compiled
                     // checksum register must match the stream about to enter
@@ -293,17 +285,9 @@ impl CoreSim {
                         agg.max_queue = agg.max_queue.max(r.max_queue);
                     }
                 }
-                Ok((agg, stats))
+                Ok(agg)
             })
             .collect::<Result<_, CoreError>>()?;
-        let mut stats = FaultStats::default();
-        let tiles: Vec<TileReport> = results
-            .into_iter()
-            .map(|(r, s)| {
-                stats.merge(&s);
-                r
-            })
-            .collect();
         let tile_cycles: Vec<u64> = tiles.iter().map(|t| t.cycles).collect();
         Ok((
             CoreReport {

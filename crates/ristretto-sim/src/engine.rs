@@ -35,7 +35,6 @@ use qnn::pool::{pool2d, PoolKind};
 use qnn::quant::BitWidth;
 use qnn::tensor::{AccTensor3, Tensor3, Tensor4};
 use qnn::workload::{WeightProfile, WorkloadGen};
-use rayon::prelude::*;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -258,10 +257,10 @@ impl CompiledLayer {
 
     /// Runs this layer's per-input work: activation compression, stream
     /// intersection, PPU and optional pooling. The scratch arena supplies
-    /// the accumulator planes and per-channel weight plans; a persistent
+    /// the layer accumulator and per-channel weight plans; a persistent
     /// arena (one per layer inside a [`Session`]) makes the steady state
-    /// allocation-free, while a transient `&CscScratch::new()` reproduces
-    /// the pre-arena behavior exactly.
+    /// allocation-free, while a transient `&CscScratch::new()` allocates
+    /// one accumulator per call.
     pub(crate) fn execute(
         &self,
         csc: &CscConfig,
@@ -320,9 +319,8 @@ impl CompiledLayer {
     /// fallback for the whole layer when recovery is on — keeping the
     /// layer output byte-identical to a fault-free run.
     ///
-    /// Byte-deterministic at any thread count: injection decisions are
-    /// pure site hashes, channels merge in channel order, and `i64`
-    /// plane addition commutes.
+    /// Byte-deterministic: injection decisions are pure site hashes, and
+    /// channels run in channel order into one layer accumulator.
     pub(crate) fn execute_with_faults(
         &self,
         csc: &CscConfig,
@@ -358,167 +356,107 @@ impl CompiledLayer {
         let tiles_x = w.div_ceil(csc.tile_w);
         let max_attempts = injector.max_attempts();
 
-        struct ChannelOutcome {
-            acc: Option<FullConvAcc>,
-            stats: CscStats,
-            faults: FaultStats,
-            failed: Option<FaultDetected>,
-        }
-
-        // Same fan-out/merge shape as `conv2d_csc_streams_with`; outcomes
-        // collect in channel order, so the run is thread-count
-        // deterministic.
-        let per_channel: Vec<Result<ChannelOutcome, AtomError>> = (0..c)
-            .into_par_iter()
-            .map(|ci| {
-                let mut stats = CscStats::default();
-                let mut faults = FaultStats::default();
-                // The stored stream's always-on integrity monitor; the
-                // injected copies below model in-flight corruption.
-                self.weights.verify_channel(ci)?;
-                let w_stream = self.weights.stream(ci);
-                stats.weight_atoms += w_stream.len() as u64;
-                if w_stream.is_empty() {
-                    return Ok(ChannelOutcome {
-                        acc: None,
-                        stats,
-                        faults,
-                        failed: None,
-                    });
-                }
-                let mut acc = FullConvAcc::new(o, h, w, k)?;
-                for y0 in (0..h).step_by(csc.tile_h) {
-                    for x0 in (0..w).step_by(csc.tile_w) {
-                        let a_flat = flatten_tile(act, ci, y0, x0, csc.tile_h, csc.tile_w);
-                        if a_flat.is_empty() {
-                            continue;
+        // Channels run in order into one layer accumulator, allocated where
+        // the first channel with weights needs it. A tile that exhausts its
+        // retries ends its channel; later channels still run, so the
+        // campaign's counters do not depend on where it failed. A failed
+        // layer's accumulator is never read.
+        let mut acc: Option<FullConvAcc> = None;
+        let mut stats = CscStats::default();
+        let mut faults = FaultStats::default();
+        let mut failure: Option<FaultDetected> = None;
+        'channels: for ci in 0..c {
+            // The stored stream's always-on integrity monitor; the injected
+            // copies below model in-flight corruption.
+            self.weights.verify_channel(ci)?;
+            let w_stream = self.weights.stream(ci);
+            stats.weight_atoms += w_stream.len() as u64;
+            if w_stream.is_empty() {
+                continue;
+            }
+            let acc = match acc {
+                Some(ref mut acc) => acc,
+                None => acc.insert(FullConvAcc::new(o, h, w, k)?),
+            };
+            for y0 in (0..h).step_by(csc.tile_h) {
+                for x0 in (0..w).step_by(csc.tile_w) {
+                    let a_flat = flatten_tile(act, ci, y0, x0, csc.tile_h, csc.tile_w);
+                    if a_flat.is_empty() {
+                        continue;
+                    }
+                    let a_clean = compress_activations(&a_flat, self.a_bits.bits(), csc.atom_bits)?;
+                    stats.act_values += a_clean.value_count() as u64;
+                    stats.act_atoms += a_clean.len() as u64;
+                    stats.tiles_processed += 1;
+                    // Logical tile-grid index: stable across attempt
+                    // numbers.
+                    let tile_idx = (y0 / csc.tile_h) * tiles_x + x0 / csc.tile_w;
+                    let mut attempt = 0u32;
+                    let committed = loop {
+                        let base = FaultSite {
+                            layer: layer_idx,
+                            channel: ci,
+                            tile: tile_idx,
+                            attempt,
+                            item: 0,
+                        };
+                        // Weight side: one packed-record flip per hit in
+                        // the buffer read (WeightBuffer) or on the wire
+                        // into the Atomputer (WeightStream); both
+                        // manifest as value-bit flips on the entry.
+                        let mut w_entries = w_stream.entries().to_vec();
+                        let (mut wb_cnt, mut ws_cnt) = (0u64, 0u64);
+                        for (idx, e) in w_entries.iter_mut().enumerate() {
+                            let site = FaultSite { item: idx, ..base };
+                            if let Some(ent) = injector.decide(FaultStructure::WeightBuffer, site) {
+                                FaultInjector::corrupt_weight_entry(e, ent);
+                                wb_cnt += 1;
+                            }
+                            if let Some(ent) = injector.decide(FaultStructure::WeightStream, site) {
+                                FaultInjector::corrupt_weight_entry(e, ent);
+                                ws_cnt += 1;
+                            }
                         }
-                        let a_clean =
-                            compress_activations(&a_flat, self.a_bits.bits(), csc.atom_bits)?;
-                        stats.act_values += a_clean.value_count() as u64;
-                        stats.act_atoms += a_clean.len() as u64;
-                        stats.tiles_processed += 1;
-                        // Logical tile-grid index: stable across thread
-                        // counts and attempt numbers.
-                        let tile_idx = (y0 / csc.tile_h) * tiles_x + x0 / csc.tile_w;
-                        let mut attempt = 0u32;
-                        let committed = loop {
-                            let base = FaultSite {
-                                layer: layer_idx,
-                                channel: ci,
-                                tile: tile_idx,
-                                attempt,
-                                item: 0,
-                            };
-                            // Weight side: one packed-record flip per hit in
-                            // the buffer read (WeightBuffer) or on the wire
-                            // into the Atomputer (WeightStream); both
-                            // manifest as value-bit flips on the entry.
-                            let mut w_entries = w_stream.entries().to_vec();
-                            let (mut wb_cnt, mut ws_cnt) = (0u64, 0u64);
-                            for (idx, e) in w_entries.iter_mut().enumerate() {
-                                let site = FaultSite { item: idx, ..base };
-                                if let Some(ent) =
-                                    injector.decide(FaultStructure::WeightBuffer, site)
-                                {
-                                    FaultInjector::corrupt_weight_entry(e, ent);
-                                    wb_cnt += 1;
-                                }
-                                if let Some(ent) =
-                                    injector.decide(FaultStructure::WeightStream, site)
-                                {
-                                    FaultInjector::corrupt_weight_entry(e, ent);
-                                    ws_cnt += 1;
-                                }
-                            }
-                            faults.record_injected(FaultStructure::WeightBuffer, wb_cnt);
-                            faults.record_injected(FaultStructure::WeightStream, ws_cnt);
-                            let w_faulty = WeightStream::from_entries(w_entries);
-                            // Activation side: magnitude-bit flips in the
-                            // Atomizer's output stream.
-                            let mut a_entries = a_clean.entries().to_vec();
-                            let mut as_cnt = 0u64;
-                            for (idx, e) in a_entries.iter_mut().enumerate() {
-                                let site = FaultSite { item: idx, ..base };
-                                if let Some(ent) =
-                                    injector.decide(FaultStructure::ActivationStream, site)
-                                {
-                                    FaultInjector::corrupt_act_entry(e, ent);
-                                    as_cnt += 1;
-                                }
-                            }
-                            faults.record_injected(FaultStructure::ActivationStream, as_cnt);
-                            let a_faulty = ActivationStream::from_entries(a_entries);
-                            // Pre-intersect monitors: re-hash both streams
-                            // against their reference digests before any
-                            // multiply happens.
-                            if injector.detect() {
-                                let mut tripped = None;
-                                if w_faulty.checksum() != self.weights.checksum(ci) {
-                                    faults.record_detected(FaultStructure::WeightBuffer, wb_cnt);
-                                    faults.record_detected(FaultStructure::WeightStream, ws_cnt);
-                                    tripped = Some(if wb_cnt > 0 {
-                                        FaultStructure::WeightBuffer
-                                    } else {
-                                        FaultStructure::WeightStream
-                                    });
-                                }
-                                if a_faulty.checksum() != a_clean.checksum() {
-                                    faults
-                                        .record_detected(FaultStructure::ActivationStream, as_cnt);
-                                    tripped.get_or_insert(FaultStructure::ActivationStream);
-                                }
-                                if let Some(structure) = tripped {
-                                    if attempt >= max_attempts {
-                                        break Err(FaultDetected {
-                                            structure,
-                                            layer: layer_idx,
-                                            channel: ci,
-                                            tile: tile_idx,
-                                            attempts: attempt + 1,
-                                        });
-                                    }
-                                    faults.record_retry();
-                                    attempt += 1;
-                                    continue;
-                                }
-                            }
-                            // Intersect into a scratch plane so a rejected
-                            // attempt never touches the committed
-                            // accumulator.
-                            let mut scratch = FullConvAcc::new(o, h, w, k)?;
-                            let istats =
-                                intersect(&w_faulty, &a_faulty, icfg, &mut scratch, y0, x0)?;
-                            let reference_digest = plane_digest(scratch.cells());
-                            let expected_sum =
-                                weight_term_sum(&w_faulty) * act_value_sum(&a_faulty);
-                            // Accumulate-buffer faults: word flips over the
-                            // plane this tile pass wrote.
-                            let mut acc_cnt = 0u64;
-                            for (idx, word) in scratch.cells_mut().iter_mut().enumerate() {
-                                let site = FaultSite { item: idx, ..base };
-                                if let Some(ent) =
-                                    injector.decide(FaultStructure::AccumBuffer, site)
-                                {
-                                    FaultInjector::corrupt_accum_word(word, acc_bits, ent);
-                                    acc_cnt += 1;
-                                }
-                            }
-                            faults.record_injected(FaultStructure::AccumBuffer, acc_cnt);
-                            // Post-intersect monitors: the Eq 4/5
-                            // conservation law (plane total = weight-term
-                            // sum × activation-value sum) plus the
-                            // incremental plane digest for the rare
-                            // cancelling pair.
-                            if injector.detect()
-                                && (scratch.total_sum() != expected_sum
-                                    || plane_digest(scratch.cells()) != reference_digest)
+                        faults.record_injected(FaultStructure::WeightBuffer, wb_cnt);
+                        faults.record_injected(FaultStructure::WeightStream, ws_cnt);
+                        let w_faulty = WeightStream::from_entries(w_entries);
+                        // Activation side: magnitude-bit flips in the
+                        // Atomizer's output stream.
+                        let mut a_entries = a_clean.entries().to_vec();
+                        let mut as_cnt = 0u64;
+                        for (idx, e) in a_entries.iter_mut().enumerate() {
+                            let site = FaultSite { item: idx, ..base };
+                            if let Some(ent) =
+                                injector.decide(FaultStructure::ActivationStream, site)
                             {
-                                faults.record_detected(FaultStructure::AccumBuffer, acc_cnt);
-                                faults.record_wasted(istats.atom_mults, istats.deliveries);
+                                FaultInjector::corrupt_act_entry(e, ent);
+                                as_cnt += 1;
+                            }
+                        }
+                        faults.record_injected(FaultStructure::ActivationStream, as_cnt);
+                        let a_faulty = ActivationStream::from_entries(a_entries);
+                        // Pre-intersect monitors: re-hash both streams
+                        // against their reference digests before any
+                        // multiply happens.
+                        if injector.detect() {
+                            let mut tripped = None;
+                            if w_faulty.checksum() != self.weights.checksum(ci) {
+                                faults.record_detected(FaultStructure::WeightBuffer, wb_cnt);
+                                faults.record_detected(FaultStructure::WeightStream, ws_cnt);
+                                tripped = Some(if wb_cnt > 0 {
+                                    FaultStructure::WeightBuffer
+                                } else {
+                                    FaultStructure::WeightStream
+                                });
+                            }
+                            if a_faulty.checksum() != a_clean.checksum() {
+                                faults.record_detected(FaultStructure::ActivationStream, as_cnt);
+                                tripped.get_or_insert(FaultStructure::ActivationStream);
+                            }
+                            if let Some(structure) = tripped {
                                 if attempt >= max_attempts {
                                     break Err(FaultDetected {
-                                        structure: FaultStructure::AccumBuffer,
+                                        structure,
                                         layer: layer_idx,
                                         channel: ci,
                                         tile: tile_idx,
@@ -529,50 +467,71 @@ impl CompiledLayer {
                                 attempt += 1;
                                 continue;
                             }
-                            break Ok((scratch, istats));
-                        };
-                        match committed {
-                            Ok((scratch, istats)) => {
-                                if attempt > 0 {
-                                    faults.record_recovered_tile();
-                                }
-                                acc.merge(&scratch);
-                                stats.intersect.merge(&istats);
+                        }
+                        // Intersect into a scratch plane so a rejected
+                        // attempt never touches the committed
+                        // accumulator.
+                        let mut scratch = FullConvAcc::new(o, h, w, k)?;
+                        let istats = intersect(&w_faulty, &a_faulty, icfg, &mut scratch, y0, x0)?;
+                        let reference_digest = plane_digest(scratch.cells());
+                        let expected_sum = weight_term_sum(&w_faulty) * act_value_sum(&a_faulty);
+                        // Accumulate-buffer faults: word flips over the
+                        // plane this tile pass wrote.
+                        let mut acc_cnt = 0u64;
+                        for (idx, word) in scratch.cells_mut().iter_mut().enumerate() {
+                            let site = FaultSite { item: idx, ..base };
+                            if let Some(ent) = injector.decide(FaultStructure::AccumBuffer, site) {
+                                FaultInjector::corrupt_accum_word(word, acc_bits, ent);
+                                acc_cnt += 1;
                             }
-                            Err(fault) => {
-                                return Ok(ChannelOutcome {
-                                    acc: None,
-                                    stats,
-                                    faults,
-                                    failed: Some(fault),
+                        }
+                        faults.record_injected(FaultStructure::AccumBuffer, acc_cnt);
+                        // Post-intersect monitors: the Eq 4/5
+                        // conservation law (plane total = weight-term
+                        // sum × activation-value sum) plus the
+                        // incremental plane digest for the rare
+                        // cancelling pair.
+                        if injector.detect()
+                            && (scratch.total_sum() != expected_sum
+                                || plane_digest(scratch.cells()) != reference_digest)
+                        {
+                            faults.record_detected(FaultStructure::AccumBuffer, acc_cnt);
+                            faults.record_wasted(istats.atom_mults, istats.deliveries);
+                            if attempt >= max_attempts {
+                                break Err(FaultDetected {
+                                    structure: FaultStructure::AccumBuffer,
+                                    layer: layer_idx,
+                                    channel: ci,
+                                    tile: tile_idx,
+                                    attempts: attempt + 1,
                                 });
                             }
+                            faults.record_retry();
+                            attempt += 1;
+                            continue;
+                        }
+                        break Ok((scratch, istats));
+                    };
+                    match committed {
+                        Ok((scratch, istats)) => {
+                            if attempt > 0 {
+                                faults.record_recovered_tile();
+                            }
+                            acc.merge(&scratch);
+                            stats.intersect.merge(&istats);
+                        }
+                        Err(fault) => {
+                            failure.get_or_insert(fault);
+                            continue 'channels;
                         }
                     }
                 }
-                Ok(ChannelOutcome {
-                    acc: Some(acc),
-                    stats,
-                    faults,
-                    failed: None,
-                })
-            })
-            .collect();
-
-        let mut acc = FullConvAcc::new(o, h, w, k)?;
-        let mut stats = CscStats::default();
-        let mut faults = FaultStats::default();
-        let mut failure: Option<FaultDetected> = None;
-        for result in per_channel {
-            let outcome = result?;
-            stats.merge(&outcome.stats);
-            faults.merge(&outcome.faults);
-            if let Some(f) = outcome.failed {
-                failure.get_or_insert(f);
-            } else if let Some(channel_acc) = outcome.acc {
-                acc.merge(&channel_acc);
             }
         }
+        let acc = match acc {
+            Some(acc) => acc,
+            None => FullConvAcc::new(o, h, w, k)?,
+        };
         let conv_out = match failure {
             None => acc.extract(self.geom, out_h, out_w)?,
             Some(fault) => {
@@ -772,11 +731,15 @@ pub struct SessionCycleRun {
 /// work happens here.
 ///
 /// Each session also owns one [`CscScratch`] arena per layer, so the
-/// accumulator planes, weight plans and stream buffers of `run` are
+/// layer accumulator, weight plans and stream buffers of `run` are
 /// recycled across inputs — after the first inference, the steady state
 /// performs zero accumulator-plane heap allocations (observable through
-/// [`Session::scratch_plane_allocations`]). Cloning a session shares the
-/// arenas (they are internally synchronized).
+/// [`Session::scratch_plane_allocations`]).
+///
+/// A run executes on the calling thread, layer by layer and channel by
+/// channel. Clones of a session share its arenas, so concurrent runs
+/// through clones take turns per layer; open one session per thread to
+/// run inputs in parallel.
 #[derive(Debug, Clone)]
 pub struct Session {
     net: Arc<CompiledNetwork>,

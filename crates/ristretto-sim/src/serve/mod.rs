@@ -29,12 +29,10 @@
 //!
 //! **Determinism contract**: the scheduler runs in virtual time — integer
 //! microticks derived from the Eq 5 cycle model, never wall clock — on a
-//! single timeline; thread-level parallelism stays confined inside the
-//! engine kernels, which are byte-deterministic at any thread count. A
-//! seeded [closed-loop load generator](loadgen) (pure splitmix64 arrival
-//! and routing hashes, like [`crate::fault`]) therefore produces a
-//! [`ServeReport`] that is byte-identical at any
-//! `--threads` count.
+//! single timeline, and the engine and fleets it drives run on the calling
+//! thread. A seeded [closed-loop load generator](loadgen) (pure splitmix64
+//! arrival and routing hashes, like [`crate::fault`]) therefore produces a
+//! [`ServeReport`] that is byte-identical at any `--threads` count.
 
 pub mod loadgen;
 pub mod registry;

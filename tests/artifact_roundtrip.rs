@@ -4,10 +4,15 @@
 //! and the on-disk model cache must degrade to a recompile — with
 //! byte-identical results — whenever its artifact is damaged.
 
-use atomstream::wire::WireError;
+use atomstream::error::AtomError;
+use atomstream::stream::WeightStream;
+use atomstream::wire::{fnv1a_bytes, WireError};
 use qnn::conv::ConvGeometry;
+use qnn::mini::MiniNetwork;
+use qnn::models::NetworkId;
 use qnn::quant::BitWidth;
 use qnn::tensor::{Tensor3, Tensor4};
+use qnn::workload::{WeightProfile, WorkloadGen};
 use ristretto_sim::artifact;
 use ristretto_sim::config::RistrettoConfig;
 use ristretto_sim::engine::{compile, NetworkModel, Session};
@@ -97,6 +102,52 @@ fn every_truncation_is_rejected() {
             bytes.len()
         );
     }
+}
+
+#[test]
+fn out_of_range_output_channel_with_consistent_checksums_is_rejected() {
+    // Every checksum of this crafted artifact is consistent, but its first
+    // weight entry addresses an output channel the layer does not have:
+    // decode must fail with a typed error, not panic in the plan compiler.
+    let mini = MiniNetwork::try_new(NetworkId::GoogLeNet).unwrap();
+    let wp = WeightProfile::benchmark(BitWidth::W4);
+    let model = NetworkModel::from_mini(&mini, &mut WorkloadGen::new(5), &wp).unwrap();
+    let net = compile(&model, &RistrettoConfig::paper_default()).unwrap();
+    let weights = net.layers()[0].weights();
+    let out_ch = weights.out_channels() as u16;
+    let mut entries = weights.stream(0).entries().to_vec();
+    entries[0].out_ch = out_ch;
+    let stream_sum = WeightStream::from_entries(entries.clone()).checksum();
+
+    // The `layer0.streams` payload opens with out_channels, in_channels and
+    // kernel (u64 each) and w_bits and atom_bits (u8); then channel 0's
+    // entry count (u64), its 9-byte entries (out_ch in the last two bytes)
+    // and its checksum. The section's FNV-1a digest follows the payload.
+    let mut bytes = artifact::encode(&net);
+    let name = b"layer0.streams";
+    let len_at = bytes.windows(name.len()).position(|w| w == name).unwrap() + name.len();
+    let len = u64::from_le_bytes(bytes[len_at..len_at + 8].try_into().unwrap()) as usize;
+    let payload = len_at + 8;
+    let (entry, sum) = (payload + 34, payload + 34 + 9 * entries.len());
+    bytes[entry + 7..entry + 9].copy_from_slice(&out_ch.to_le_bytes());
+    bytes[sum..sum + 8].copy_from_slice(&stream_sum.to_le_bytes());
+    let section_sum = fnv1a_bytes(&bytes[payload..payload + len]);
+    bytes[payload + len..payload + len + 8].copy_from_slice(&section_sum.to_le_bytes());
+
+    let detail = AtomError::WeightOutChannelOutOfRange {
+        channel: 0,
+        index: 0,
+        out_ch,
+        out_channels: out_ch as usize,
+    }
+    .to_string();
+    assert_eq!(
+        artifact::decode(&bytes).unwrap_err(),
+        WireError::Invalid {
+            section: "layer0.streams".to_string(),
+            detail
+        }
+    );
 }
 
 #[test]
