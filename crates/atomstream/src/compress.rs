@@ -123,6 +123,17 @@ mod tests {
         // Coordinates latch across all atoms of a value.
         assert!(s.entries()[..3].iter().all(|e| e.x == 0));
         assert!(s.entries()[3..].iter().all(|e| e.x == 1));
+
+        // §III-B constant input bandwidth: at 2-bit atoms, one 8-bit value,
+        // two 4-bit values and four 2-bit values all fill the same four
+        // atom slots, whatever the quantized width.
+        for (a_bits, value, count) in [(8, 0xFF, 1), (4, 0xF, 2), (2, 0x3, 4)] {
+            let flat: Vec<FlatActivation> = (0..count)
+                .map(|x| FlatActivation { value, x, y: 0 })
+                .collect();
+            let s = compress_activations(&flat, a_bits, AtomBits::B2).unwrap();
+            assert_eq!(s.len(), 4, "{count} x {a_bits}-bit {value:#x}");
+        }
     }
 
     #[test]

@@ -574,6 +574,7 @@ pub fn conv2d_csc_streams_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use qnn::conv::conv2d;
 
     fn check_against_dense(
@@ -888,5 +889,56 @@ mod tests {
             &CscConfig::default()
         )
         .is_err());
+    }
+
+    /// Activation magnitudes biased hard toward the unsigned 16-bit
+    /// maximum, the operands that stress the accumulation shifts most.
+    fn extreme_act() -> impl Strategy<Value = i32> {
+        prop_oneof![
+            3 => Just(0xFFFFi32),
+            1 => Just(0i32),
+            1 => 0i32..=0xFFFF,
+        ]
+    }
+
+    /// Weight magnitudes biased toward ±(2^16 − 1), the widest operands the
+    /// spatial extension accepts.
+    fn extreme_weight() -> impl Strategy<Value = i32> {
+        prop_oneof![
+            2 => Just(0xFFFFi32),
+            2 => Just(-0xFFFFi32),
+            1 => Just(0i32),
+            1 => -0xFFFFi32..=0xFFFF,
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Maximal-magnitude 16-bit operands through the §IV-D spatial
+        /// extension (16-bit atoms shifted over `{0, 2, …, 14}`). Every
+        /// partial sum runs through the guarded shifts (`shl_guarded`), so
+        /// a silent i64 overflow would abort the debug build rather than
+        /// corrupt the comparison against the dense reference.
+        #[test]
+        fn maximal_magnitude_16bit_matches_dense(
+            acts in proptest::collection::vec(extreme_act(), 2 * 4 * 4),
+            wts in proptest::collection::vec(extreme_weight(), 2 * 2 * 3 * 3),
+        ) {
+            let fmap = Tensor3::from_vec(2, 4, 4, acts).unwrap();
+            let kernels = Tensor4::from_vec(2, 2, 3, 3, wts).unwrap();
+            let geom = ConvGeometry::unit_stride(1);
+            let dense = conv2d(&fmap, &kernels, geom).unwrap();
+            let spatial = conv2d_csc(
+                &fmap,
+                &kernels,
+                geom,
+                BitWidth::W16,
+                BitWidth::W16,
+                &CscConfig::default(),
+            )
+            .unwrap();
+            prop_assert_eq!(&spatial.output, &dense);
+        }
     }
 }

@@ -29,9 +29,9 @@ pub fn intersect_epsilon(s: u64, n: u64) -> u64 {
 
 /// Ideal intersection step count for one tile (Eq 3).
 ///
-/// Saturates at `u64::MAX` instead of overflowing, mirroring the
-/// `shl_guarded` treatment in `wide.rs` — the estimate stays a valid lower
-/// bound even for degenerate atom counts.
+/// Saturates at `u64::MAX` instead of overflowing, in the spirit of the
+/// intersect kernel's `shl_guarded` shifts — the estimate stays a valid
+/// lower bound even for degenerate atom counts.
 pub fn ideal_steps(t: u64, s: u64, n: u64) -> u64 {
     assert!(n > 0, "multiplier count must be non-zero");
     if t == 0 || s == 0 {

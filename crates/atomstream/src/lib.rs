@@ -38,7 +38,6 @@ pub mod flatten;
 pub mod intersect;
 pub mod kernel;
 pub mod stream;
-pub mod wide;
 pub mod wire;
 
 /// Glob import of the commonly used items.

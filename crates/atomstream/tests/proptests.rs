@@ -164,7 +164,6 @@ proptest! {
         w in 2usize..=4,
         k in 1usize..=2,
     ) {
-        use atomstream::wide::conv2d_csc_temporal16;
         prop_assume!(h >= k && w >= k);
         let mut rng = qnn::rng::SeededRng::new(seed);
         let fmap = Tensor3::from_fn(1, h, w, |_, _, _| {
@@ -179,8 +178,5 @@ proptest! {
         // Spatial extension (§IV-D): direct 16-bit CSC.
         let spatial = conv2d_csc(&fmap, &kernels, geom, BitWidth::W16, BitWidth::W16, &cfg).unwrap();
         prop_assert_eq!(&spatial.output, &dense);
-        // Temporal decomposition: four 8-bit passes.
-        let temporal = conv2d_csc_temporal16(&fmap, &kernels, geom, &cfg).unwrap();
-        prop_assert_eq!(&temporal.output, &dense);
     }
 }

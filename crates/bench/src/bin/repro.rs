@@ -101,6 +101,11 @@ const USAGE: &str = "usage: repro <fig1|fig4|fig12|fig13|fig14|fig15|fig16|fig17
                    [--chaos] [--model-cache <dir>] [--seed <s>] [--quick]
                    [--json <path>] [--metrics <path>] [--threads <n>]";
 
+/// Upper bound on `serve --clients` and `--max-batch`. The server keeps one
+/// batch-histogram bucket per batch size and the load generator one state
+/// per client, so an unbounded count aborts on capacity overflow.
+const MAX_SERVE_COUNT: usize = 1 << 16;
+
 /// Canonical experiment order of `repro all`.
 const ALL: [&str; 13] = [
     "fig1",
@@ -291,6 +296,11 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 if n == 0 {
                     return Err("--clients must be at least 1".to_string());
                 }
+                if n > MAX_SERVE_COUNT {
+                    return Err(format!(
+                        "--clients must be at most {MAX_SERVE_COUNT} (got {n})"
+                    ));
+                }
                 clients = Some(n);
             }
             "--requests" => {
@@ -332,6 +342,11 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                     .map_err(|_| format!("invalid batch bound `{v}`"))?;
                 if n == 0 {
                     return Err("--max-batch must be at least 1".to_string());
+                }
+                if n > MAX_SERVE_COUNT {
+                    return Err(format!(
+                        "--max-batch must be at most {MAX_SERVE_COUNT} (got {n})"
+                    ));
                 }
                 max_batch = Some(n);
             }

@@ -76,12 +76,13 @@ pub fn run_tile_size(quick: bool) -> Vec<TileSizeRow> {
         if quick { 16 } else { 32 },
     )
     .expect("valid probe layer");
-    let s = SyntheticLayer::generate(
+    let s = SyntheticLayer::try_generate(
         &layer,
         &WeightProfile::benchmark(BitWidth::W8),
         &ActivationProfile::new(BitWidth::W8),
         &mut gen,
-    );
+    )
+    .expect("probe layer is small");
     // The static weight streams are tile-size independent: compile them
     // once and sweep only the activation-side tiling.
     let weights = WeightStreamSet::compile(&s.kernels, BitWidth::W8, AtomBits::B2)
@@ -155,7 +156,7 @@ pub fn run_fifo_depth(quick: bool) -> Vec<FifoRow> {
                 fifo_depth: depth,
                 ..RistrettoConfig::paper_default()
             };
-            let sim = TileSim::new(&cfg);
+            let sim = TileSim::try_new(&cfg).expect("FIFO sweep configuration");
             FifoRow {
                 depth,
                 stalls_shuffled: sim.run(&shuffled, &acts).stall_cycles,
@@ -181,7 +182,8 @@ pub fn run_balance_networks(quick: bool, cache: &mut StatsCache) -> Vec<BalanceR
             let stats = cache.peek(net, policy, 2);
             let cycles = |strategy| {
                 let cfg = RistrettoConfig::paper_default().with_balancing(strategy);
-                RistrettoSim::new(cfg)
+                RistrettoSim::try_new(cfg)
+                    .expect("balancing configuration")
                     .simulate_network(stats)
                     .total_cycles()
             };

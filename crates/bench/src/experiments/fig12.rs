@@ -37,8 +37,8 @@ pub struct Row {
 /// same buffer capacities (§V-B).
 pub fn run(quick: bool, cache: &mut StatsCache) -> Vec<Row> {
     let r_cfg = RistrettoConfig::paper_default();
-    let sim = RistrettoSim::new(r_cfg);
-    let sim_ns = RistrettoSim::new(r_cfg.non_sparse());
+    let sim = RistrettoSim::try_new(r_cfg).expect("paper-default configuration");
+    let sim_ns = RistrettoSim::try_new(r_cfg.non_sparse()).expect("non-sparse configuration");
     let r_area = Backend::area_mm2(&sim);
     let bf = BitFusion::paper_default();
     let bf_area = bf.area_mm2();

@@ -31,7 +31,7 @@ pub struct Row {
 /// Laconic mesh, same buffers.
 pub fn run(quick: bool, cache: &mut StatsCache) -> Vec<Row> {
     let r_cfg = RistrettoConfig::half_width();
-    let sim = RistrettoSim::new(r_cfg);
+    let sim = RistrettoSim::try_new(r_cfg).expect("half-width configuration");
     let r_area = Backend::area_mm2(&sim);
     let lac = Laconic::paper_default();
     let lac_area = lac.area_mm2();

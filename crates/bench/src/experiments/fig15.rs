@@ -34,7 +34,7 @@ pub fn run(quick: bool) -> Vec<Row> {
     let n_acts = if quick { 128 } else { 512 };
     let n_weights = if quick { 64 } else { 256 };
     let cfg = RistrettoConfig::half_width();
-    let sim = TileSim::new(&cfg);
+    let sim = TileSim::try_new(&cfg).expect("half-width configuration");
     // Each sweep point owns a generator seeded by its step, so the cycle
     // counts are independent; only the speedup normalization references the
     // dense (step 0) point, which we apply after the parallel sweep.

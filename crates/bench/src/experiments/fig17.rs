@@ -34,7 +34,7 @@ pub struct Row {
 /// Runs the three-way comparison.
 pub fn run(quick: bool, cache: &mut StatsCache) -> Vec<Row> {
     let r_cfg = RistrettoConfig::half_width();
-    let sim = RistrettoSim::new(r_cfg);
+    let sim = RistrettoSim::try_new(r_cfg).expect("half-width configuration");
     let r_area = Backend::area_mm2(&sim);
     let sp = SparTen::paper_default();
     let sp_area = sp.area_mm2();

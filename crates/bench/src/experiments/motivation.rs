@@ -37,7 +37,8 @@ pub fn run(quick: bool, cache: &mut StatsCache) -> Vec<Row> {
     let policy = PrecisionPolicy::Uniform(BitWidth::W4);
     let nets: Vec<_> = benchmark_networks(quick).to_vec();
 
-    let r_sim = RistrettoSim::new(RistrettoConfig::half_width());
+    let r_sim =
+        RistrettoSim::try_new(RistrettoConfig::half_width()).expect("half-width configuration");
 
     // Prefill the shared workloads once, then evaluate the seven machines
     // in parallel (each sums over the networks sequentially). The machines

@@ -175,12 +175,13 @@ fn kernel_workload() -> SyntheticLayer {
     let layer = qnn::layers::ConvLayer::conv("bench", 16, 32, 3, 1, 1, 28, 28)
         .expect("benchmark layer shape is valid");
     let mut gen = WorkloadGen::new(7);
-    SyntheticLayer::generate(
+    SyntheticLayer::try_generate(
         &layer,
         &WeightProfile::benchmark(BitWidth::W8),
         &ActivationProfile::new(BitWidth::W8),
         &mut gen,
     )
+    .expect("benchmark layer is small")
 }
 
 /// Runs the micro suite.

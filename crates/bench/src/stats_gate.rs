@@ -10,7 +10,7 @@
 //!
 //! ```json
 //! {
-//!   "counters": { "atomizer.cycles": 123, ... },
+//!   "counters": { "intersect.steps": 123, ... },
 //!   "tolerance": {
 //!     "default_rel": 0.0,
 //!     "per_counter_rel": { "energy.*": 1e-6 }
@@ -280,17 +280,17 @@ mod tests {
         sorted.sort();
         assert_eq!(keys, sorted);
         assert_eq!(parsed["counters"]["intersect.calls"].as_u64(), Some(7));
-        assert_eq!(parsed["counters"]["atomizer.cycles"].as_u64(), Some(0));
+        assert_eq!(parsed["counters"]["intersect.steps"].as_u64(), Some(0));
     }
 
     #[test]
     fn golden_roundtrip_preserves_tolerances() {
-        let snap = snap_with(obs::Event::AtomizerCycles, 10);
+        let snap = snap_with(obs::Event::IntersectSteps, 10);
         let text = golden_json(&snap, None).unwrap();
         let golden = parse_golden(&text).unwrap();
         assert_eq!(golden.tolerance.default_rel, 0.0);
         assert_eq!(golden.tolerance.for_counter("energy.dram_fj"), 1e-6);
-        assert_eq!(golden.tolerance.for_counter("atomizer.cycles"), 0.0);
+        assert_eq!(golden.tolerance.for_counter("intersect.steps"), 0.0);
         assert!(compare(&snap, &golden).is_empty());
 
         // Regenerating from a prior golden keeps a customized tolerance.
@@ -298,9 +298,9 @@ mod tests {
         custom
             .tolerance
             .per_counter_rel
-            .push(("atomizer.cycles".to_string(), 0.5));
+            .push(("intersect.steps".to_string(), 0.5));
         let regen = parse_golden(&golden_json(&snap, Some(&custom)).unwrap()).unwrap();
-        assert_eq!(regen.tolerance.for_counter("atomizer.cycles"), 0.5);
+        assert_eq!(regen.tolerance.for_counter("intersect.steps"), 0.5);
     }
 
     #[test]

@@ -639,6 +639,21 @@ fn serve_options_are_validated() {
             vec!["serve", "--fleet-cores", "0"],
             "--fleet-cores must be at least 1",
         ),
+        (
+            vec!["serve", "--quick", "--max-batch", "18446744073709551615"],
+            "--max-batch must be at most 65536 (got 18446744073709551615)",
+        ),
+        (
+            vec![
+                "serve",
+                "--quick",
+                "--clients",
+                "18446744073709551615",
+                "--requests",
+                "0",
+            ],
+            "--clients must be at most 65536 (got 18446744073709551615)",
+        ),
     ] {
         let out = repro(&args);
         assert!(!out.status.success(), "{args:?} should fail");

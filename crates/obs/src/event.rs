@@ -82,14 +82,6 @@ macro_rules! events {
 }
 
 events! {
-    // Atomizer (on-the-fly zero-atom squeezing, §IV-C1).
-    (AtomizerCycles, "atomizer.cycles", Sum, "cycles", "§IV-C1",
-     "Atomizer scan cycles (one non-zero atom emitted per cycle)."),
-    (AtomizerWords, "atomizer.words", Sum, "words", "§IV-C1",
-     "Activation words consumed by the Atomizer."),
-    (AtomizerMaxHold, "atomizer.max_hold", Max, "cycles", "§IV-C1",
-     "Longest any word occupied the Atomizer (bounded by the slot count)."),
-
     // Stream compression (zero-atom squeeze, §III-B / Fig 6 phase 2).
     (CompressActValues, "compress.act_values", Sum, "values", "Fig 6",
      "Non-zero activation values compressed into atom streams."),
@@ -334,7 +326,7 @@ mod tests {
     #[test]
     fn highwater_counters_are_max_kind() {
         assert_eq!(Event::AtomulatorFifoHighwater.kind(), Kind::Max);
-        assert_eq!(Event::AtomizerMaxHold.kind(), Kind::Max);
+        assert_eq!(Event::ServeQueueHighwater.kind(), Kind::Max);
         assert_eq!(Event::FleetQueueHighwater.kind(), Kind::Max);
         assert_eq!(Event::FleetCores.kind(), Kind::Max);
         assert_eq!(Event::IntersectAtomMults.kind(), Kind::Sum);

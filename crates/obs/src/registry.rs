@@ -151,15 +151,15 @@ mod tests {
     #[test]
     fn snapshot_merge_respects_kinds() {
         let r1 = Registry::new();
-        r1.record(Event::AtomizerCycles, 10);
-        r1.record(Event::AtomizerMaxHold, 3);
+        r1.record(Event::IntersectSteps, 10);
+        r1.record(Event::ServeBatchMax, 3);
         let r2 = Registry::new();
-        r2.record(Event::AtomizerCycles, 5);
-        r2.record(Event::AtomizerMaxHold, 7);
+        r2.record(Event::IntersectSteps, 5);
+        r2.record(Event::ServeBatchMax, 7);
         let mut a = r1.snapshot();
         a.merge(&r2.snapshot());
-        assert_eq!(a.get(Event::AtomizerCycles), 15); // sums add
-        assert_eq!(a.get(Event::AtomizerMaxHold), 7); // maxes take max
+        assert_eq!(a.get(Event::IntersectSteps), 15); // sums add
+        assert_eq!(a.get(Event::ServeBatchMax), 7); // maxes take max
     }
 
     #[test]

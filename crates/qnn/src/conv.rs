@@ -122,68 +122,6 @@ pub fn conv2d(
     Ok(out)
 }
 
-/// Floating-point convolution used for quantization-error studies; same
-/// geometry semantics as [`conv2d`].
-///
-/// # Errors
-/// Same error conditions as [`conv2d`].
-pub fn conv2d_f32_accumulate(
-    fmap: &[f32],
-    fmap_shape: (usize, usize, usize),
-    kernels: &[f32],
-    kernel_shape: (usize, usize, usize, usize),
-    geom: ConvGeometry,
-) -> Result<Vec<f32>, QnnError> {
-    let (c, h, w) = fmap_shape;
-    let (o, i, kh, kw) = kernel_shape;
-    if c != i {
-        return Err(QnnError::ChannelMismatch { fmap: c, kernel: i });
-    }
-    if fmap.len() != c * h * w {
-        return Err(QnnError::ShapeMismatch {
-            expected: c * h * w,
-            actual: fmap.len(),
-        });
-    }
-    if kernels.len() != o * i * kh * kw {
-        return Err(QnnError::ShapeMismatch {
-            expected: o * i * kh * kw,
-            actual: kernels.len(),
-        });
-    }
-    let h_out = geom.out_extent(h, kh)?;
-    let w_out = geom.out_extent(w, kw)?;
-    let pad = geom.padding as isize;
-    let at = |ci: usize, y: isize, x: isize| -> f32 {
-        if y < 0 || x < 0 || y as usize >= h || x as usize >= w {
-            0.0
-        } else {
-            fmap[(ci * h + y as usize) * w + x as usize]
-        }
-    };
-    let mut out = vec![0.0f32; o * h_out * w_out];
-    for oc in 0..o {
-        for oy in 0..h_out {
-            for ox in 0..w_out {
-                let mut acc = 0.0f32;
-                let base_y = (oy * geom.stride) as isize - pad;
-                let base_x = (ox * geom.stride) as isize - pad;
-                for ic in 0..c {
-                    for ky in 0..kh {
-                        for kx in 0..kw {
-                            let a = at(ic, base_y + ky as isize, base_x + kx as isize);
-                            let wv = kernels[((oc * i + ic) * kh + ky) * kw + kx];
-                            acc += a * wv;
-                        }
-                    }
-                }
-                out[(oc * h_out + oy) * w_out + ox] = acc;
-            }
-        }
-    }
-    Ok(out)
-}
-
 /// Applies ReLU in place to an integer activation tensor.
 pub fn relu(t: &mut Tensor3) {
     for v in t.as_mut_slice() {
@@ -291,19 +229,5 @@ mod tests {
         let mut t = fmap_1ch(1, 4, vec![-3, 0, 2, -1]);
         relu(&mut t);
         assert_eq!(t.as_slice(), &[0, 0, 2, 0]);
-    }
-
-    #[test]
-    fn f32_conv_matches_integer_conv_on_integral_data() {
-        let f = fmap_1ch(3, 3, vec![1, 0, 2, 0, 3, 0, 4, 0, 5]);
-        let k = Tensor4::from_vec(2, 1, 2, 2, vec![1, -2, 3, -4, 0, 1, 0, -1]).unwrap();
-        let geom = ConvGeometry::unit_stride(1);
-        let int_out = conv2d(&f, &k, geom).unwrap();
-        let ff: Vec<f32> = f.as_slice().iter().map(|&v| v as f32).collect();
-        let fk: Vec<f32> = k.as_slice().iter().map(|&v| v as f32).collect();
-        let float_out = conv2d_f32_accumulate(&ff, (1, 3, 3), &fk, (2, 1, 2, 2), geom).unwrap();
-        for (i, &v) in int_out.as_slice().iter().enumerate() {
-            assert_eq!(v as f32, float_out[i]);
-        }
     }
 }

@@ -53,7 +53,7 @@ pub mod workload;
 
 /// Convenient glob import of the most commonly used items.
 pub mod prelude {
-    pub use crate::conv::{conv2d, conv2d_f32_accumulate, relu, ConvGeometry};
+    pub use crate::conv::{conv2d, relu, ConvGeometry};
     pub use crate::error::QnnError;
     pub use crate::formats::{bitmap::BitmapVec, coo::BlockCoo2d, csr::CsrMatrix};
     pub use crate::im2col::conv2d_im2col;

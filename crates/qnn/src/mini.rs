@@ -38,15 +38,9 @@ pub struct MiniNetwork {
 impl MiniNetwork {
     /// Builds the miniature variant of `id`.
     ///
-    /// # Panics
-    /// Never panics — the built-in tables are valid by construction.
-    pub fn new(id: NetworkId) -> Self {
-        Self::try_new(id).expect("builtin mini tables are valid")
-    }
-
-    /// Fallible variant of [`MiniNetwork::new`]; the built-in tables never
-    /// actually fail, but callers threading typed errors can use this to
-    /// avoid the panic path entirely.
+    /// # Errors
+    /// Propagates layer-geometry errors from the built-in tables, which
+    /// are valid by construction and never actually fail.
     pub fn try_new(id: NetworkId) -> Result<Self, QnnError> {
         build(id)
     }
@@ -228,7 +222,7 @@ mod tests {
     #[test]
     fn all_minis_build_and_chain() {
         for id in NetworkId::ALL {
-            let m = MiniNetwork::new(id);
+            let m = MiniNetwork::try_new(id).unwrap();
             assert!(!m.stages.is_empty(), "{id}");
             m.validate_chaining()
                 .unwrap_or_else(|e| panic!("{id}: {e}"));
@@ -239,20 +233,20 @@ mod tests {
 
     #[test]
     fn minis_preserve_signature_features() {
-        let alex = MiniNetwork::new(NetworkId::AlexNet);
+        let alex = MiniNetwork::try_new(NetworkId::AlexNet).unwrap();
         assert!(
             alex.stages[0].layer.stride > 1,
             "AlexNet keeps its strided stem"
         );
         assert!(alex.stages.iter().any(|s| s.layer.kernel == 5));
 
-        let vgg = MiniNetwork::new(NetworkId::Vgg16);
+        let vgg = MiniNetwork::try_new(NetworkId::Vgg16).unwrap();
         assert!(
             vgg.stages[..5].iter().all(|s| s.layer.kernel == 3),
             "VGG is all 3x3"
         );
 
-        let r50 = MiniNetwork::new(NetworkId::ResNet50);
+        let r50 = MiniNetwork::try_new(NetworkId::ResNet50).unwrap();
         assert!(
             r50.stages.iter().filter(|s| s.layer.kernel == 1).count() >= 4,
             "ResNet-50 keeps its 1x1 bottlenecks"

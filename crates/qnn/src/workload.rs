@@ -782,22 +782,8 @@ pub struct SyntheticLayer {
 }
 
 impl SyntheticLayer {
-    /// Materializes tensors for a (small) layer.
-    ///
-    /// # Panics
-    /// Panics if the layer would require more than 64M elements — use
-    /// [`SyntheticLayer::try_generate`] for a fallible variant and
-    /// [`LayerStats`] for large layers.
-    pub fn generate(
-        layer: &ConvLayer,
-        wp: &WeightProfile,
-        ap: &ActivationProfile,
-        gen: &mut WorkloadGen,
-    ) -> Self {
-        Self::try_generate(layer, wp, ap, gen).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`SyntheticLayer::generate`].
+    /// Materializes tensors for a (small) layer; use [`LayerStats`] for
+    /// large layers.
     ///
     /// # Errors
     /// Returns [`QnnError::LayerTooLarge`] beyond 64M elements, and
@@ -958,12 +944,13 @@ mod tests {
     fn measured_stats_are_exact() {
         let layer = ConvLayer::conv("t", 4, 8, 3, 1, 1, 10, 10).unwrap();
         let mut gen = WorkloadGen::new(17);
-        let s = SyntheticLayer::generate(
+        let s = SyntheticLayer::try_generate(
             &layer,
             &WeightProfile::benchmark(BitWidth::W4),
             &ActivationProfile::new(BitWidth::W8),
             &mut gen,
-        );
+        )
+        .unwrap();
         let m = LayerStats::measure(&layer, &s.fmap, &s.kernels, BitWidth::W8, BitWidth::W4, 2);
         // Per-channel sums equal whole-tensor statistics exactly.
         assert_eq!(m.total_act_atoms(), m.activation.nonzero_atoms);
@@ -1038,12 +1025,13 @@ mod tests {
     fn synthetic_layer_materializes() {
         let layer = ConvLayer::conv("t", 4, 8, 3, 1, 1, 10, 10).unwrap();
         let mut gen = WorkloadGen::new(4);
-        let s = SyntheticLayer::generate(
+        let s = SyntheticLayer::try_generate(
             &layer,
             &WeightProfile::benchmark(BitWidth::W8),
             &ActivationProfile::new(BitWidth::W8),
             &mut gen,
-        );
+        )
+        .unwrap();
         assert_eq!(s.fmap.shape(), (4, 10, 10));
         assert_eq!(s.kernels.shape(), (8, 4, 3, 3));
     }

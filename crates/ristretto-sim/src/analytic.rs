@@ -23,15 +23,6 @@ pub struct RistrettoSim {
 impl RistrettoSim {
     /// Builds a simulator with the default 28nm component library.
     ///
-    /// # Panics
-    /// Panics if the configuration is internally inconsistent; use
-    /// [`RistrettoSim::try_new`] for a fallible variant.
-    pub fn new(cfg: RistrettoConfig) -> Self {
-        Self::try_new(cfg).expect("valid Ristretto configuration")
-    }
-
-    /// Fallible variant of [`RistrettoSim::new`].
-    ///
     /// # Errors
     /// Returns the [`ConfigError`] describing the inconsistency.
     pub fn try_new(cfg: RistrettoConfig) -> Result<Self, ConfigError> {
@@ -267,16 +258,6 @@ impl RistrettoSim {
     }
 }
 
-/// Convenience: simulate one layer with a fresh simulator.
-pub fn simulate_layer(cfg: &RistrettoConfig, stats: &LayerStats, input_layer: bool) -> LayerReport {
-    RistrettoSim::new(*cfg).simulate_layer(stats, input_layer)
-}
-
-/// Convenience: simulate a network with a fresh simulator.
-pub fn simulate_network(cfg: &RistrettoConfig, net: &NetworkStats) -> NetworkReport {
-    RistrettoSim::new(*cfg).simulate_network(net)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,6 +266,16 @@ mod tests {
     use qnn::quant::BitWidth;
     use qnn::rng::SeededRng;
     use qnn::workload::{ActivationProfile, PrecisionPolicy, WeightProfile};
+
+    fn simulate_layer(cfg: &RistrettoConfig, stats: &LayerStats, input_layer: bool) -> LayerReport {
+        RistrettoSim::try_new(*cfg)
+            .unwrap()
+            .simulate_layer(stats, input_layer)
+    }
+
+    fn simulate_network(cfg: &RistrettoConfig, net: &NetworkStats) -> NetworkReport {
+        RistrettoSim::try_new(*cfg).unwrap().simulate_network(net)
+    }
 
     fn small_stats(bits: BitWidth) -> LayerStats {
         let layer = ConvLayer::conv("t", 8, 16, 3, 1, 1, 16, 16).unwrap();
@@ -374,7 +365,7 @@ mod tests {
     #[should_panic(expected = "granularity")]
     fn granularity_mismatch_is_rejected() {
         let stats = small_stats(BitWidth::W4); // generated at 2-bit atoms
-        let _ = simulate_layer(&RistrettoConfig::granularity(3), &stats, false);
+        let _ = simulate_layer(&RistrettoConfig::try_granularity(3).unwrap(), &stats, false);
     }
 
     #[test]

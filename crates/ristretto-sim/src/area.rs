@@ -180,9 +180,12 @@ mod tests {
     #[test]
     fn fig19a_granularity_area_ordering() {
         let lib = ComponentLib::n28();
-        let a1 = AreaBreakdown::from_config(&RistrettoConfig::granularity(1), &lib).compute_units();
-        let a2 = AreaBreakdown::from_config(&RistrettoConfig::granularity(2), &lib).compute_units();
-        let a3 = AreaBreakdown::from_config(&RistrettoConfig::granularity(3), &lib).compute_units();
+        let a1 = AreaBreakdown::from_config(&RistrettoConfig::try_granularity(1).unwrap(), &lib)
+            .compute_units();
+        let a2 = AreaBreakdown::from_config(&RistrettoConfig::try_granularity(2).unwrap(), &lib)
+            .compute_units();
+        let a3 = AreaBreakdown::from_config(&RistrettoConfig::try_granularity(3).unwrap(), &lib)
+            .compute_units();
         // Paper: the 1-bit variant costs ~3.34x the 2-bit one; 3-bit is cheapest.
         let r12 = a1 / a2;
         assert!((2.0..5.5).contains(&r12), "1b/2b area ratio {r12}");
@@ -193,9 +196,9 @@ mod tests {
     fn fig19a_granularity_power_ordering() {
         let lib = ComponentLib::n28();
         let tech = TechNode::N28;
-        let p1 = compute_unit_power_mw(&RistrettoConfig::granularity(1), &lib, tech);
-        let p2 = compute_unit_power_mw(&RistrettoConfig::granularity(2), &lib, tech);
-        let p3 = compute_unit_power_mw(&RistrettoConfig::granularity(3), &lib, tech);
+        let p1 = compute_unit_power_mw(&RistrettoConfig::try_granularity(1).unwrap(), &lib, tech);
+        let p2 = compute_unit_power_mw(&RistrettoConfig::try_granularity(2).unwrap(), &lib, tech);
+        let p3 = compute_unit_power_mw(&RistrettoConfig::try_granularity(3).unwrap(), &lib, tech);
         let r12 = p1 / p2;
         assert!((2.0..5.5).contains(&r12), "1b/2b power ratio {r12}");
         assert!(p3 < p2, "3-bit power should be lowest ({p3} vs {p2})");

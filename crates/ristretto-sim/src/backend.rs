@@ -1,26 +1,15 @@
-//! [`Backend`] implementations for the Ristretto simulators.
+//! [`Backend`] implementation for the analytic Ristretto model.
 //!
 //! The workspace-wide [`Backend`] trait (defined next to the six baseline
 //! machines in [`baselines::report`]) lets experiments sweep heterogeneous
-//! machine sets as `&dyn Backend`. This module plugs both Ristretto models
-//! into that interface:
-//!
-//! * [`RistrettoSim`] — the analytic Eq 3–5 model, the configuration the
-//!   paper's figures are built from;
-//! * [`CycleRistretto`] — a cycle-level proxy that executes a downscaled
-//!   materialized layer on the multi-tile [`CoreSim`] and rescales by the
-//!   analytic work ratio.
+//! machine sets as `&dyn Backend`. [`RistrettoSim`], the analytic Eq 3–5
+//! model the paper's figures are built from, plugs into it here.
 
 use crate::analytic::RistrettoSim;
 use crate::area::AreaBreakdown;
-use crate::config::{ConfigError, RistrettoConfig};
-use crate::core::CoreSim;
 use baselines::report::{Backend, BaselineLayerReport, BaselineNetworkReport};
 use hwmodel::ComponentLib;
-use qnn::layers::ConvLayer;
-use qnn::workload::{
-    ActivationProfile, LayerStats, NetworkStats, SyntheticLayer, WeightProfile, WorkloadGen,
-};
+use qnn::workload::{LayerStats, NetworkStats};
 
 impl Backend for RistrettoSim {
     fn name(&self) -> &'static str {
@@ -71,142 +60,12 @@ impl Backend for RistrettoSim {
     }
 }
 
-/// Cycle-level Ristretto behind the [`Backend`] interface.
-///
-/// Benchmark layers are statistical (only their sparsity profiles exist,
-/// not trained tensors), so this backend materializes a *downscaled proxy*
-/// of each layer — same kernel geometry and sparsity profile, channel and
-/// spatial extents capped — executes it on the cycle-level multi-tile
-/// [`CoreSim`], and rescales the measured makespan by the ratio of the
-/// analytic model's cycle estimates for the full and proxy layers. Energy
-/// and DRAM traffic come from the analytic model, which prices the full
-/// layer directly.
-///
-/// This is an approximation (documented, and deliberately excluded from
-/// the golden-stats experiments): it trades exactness for cycle-level
-/// fidelity effects — FIFO backpressure, crossbar conflicts, systolic
-/// fill/drain — that the closed form drops.
-#[derive(Debug, Clone)]
-pub struct CycleRistretto {
-    core: CoreSim,
-    analytic: RistrettoSim,
-}
-
-/// Proxy-layer caps: large enough to exercise multi-tile balancing, small
-/// enough that materializing one layer per benchmark layer stays cheap.
-const PROXY_MAX_CHANNELS: usize = 8;
-const PROXY_MAX_EXTENT: usize = 16;
-
-impl CycleRistretto {
-    /// Builds the cycle-level backend from an architecture configuration.
-    ///
-    /// # Errors
-    /// Returns the [`ConfigError`] describing an inconsistency.
-    pub fn try_new(cfg: RistrettoConfig) -> Result<Self, ConfigError> {
-        Ok(Self {
-            core: CoreSim::try_new(cfg)?,
-            analytic: RistrettoSim::try_new(cfg)?,
-        })
-    }
-
-    /// Deterministic per-layer seed: a function of the layer's geometry
-    /// only, so repeated runs (and different thread counts) agree.
-    fn proxy_seed(layer: &ConvLayer) -> u64 {
-        let mut seed = 0x5eed_0001u64;
-        for dim in [
-            layer.in_channels,
-            layer.out_channels,
-            layer.kernel,
-            layer.stride,
-            layer.in_h,
-            layer.in_w,
-        ] {
-            seed = seed.wrapping_mul(0x100_0000_01b3).wrapping_add(dim as u64);
-        }
-        seed
-    }
-
-    /// The downscaled proxy of a benchmark layer.
-    fn proxy_layer(layer: &ConvLayer) -> ConvLayer {
-        ConvLayer::conv(
-            &layer.name,
-            layer.in_channels.min(PROXY_MAX_CHANNELS),
-            layer.out_channels.min(PROXY_MAX_CHANNELS),
-            layer.kernel,
-            layer.stride,
-            layer.padding,
-            layer.in_h.min(PROXY_MAX_EXTENT).max(layer.kernel),
-            layer.in_w.min(PROXY_MAX_EXTENT).max(layer.kernel),
-        )
-        .expect("downscaling preserves geometry validity")
-    }
-}
-
-impl Backend for CycleRistretto {
-    fn name(&self) -> &'static str {
-        "Ristretto (cycle)"
-    }
-
-    fn area_mm2(&self) -> f64 {
-        AreaBreakdown::from_config(self.analytic.config(), &ComponentLib::n28()).total()
-    }
-
-    fn simulate_layer(&self, stats: &LayerStats) -> BaselineLayerReport {
-        let full = self.analytic.simulate_layer(stats, false);
-
-        let proxy = Self::proxy_layer(&stats.layer);
-        let mut gen = WorkloadGen::new(Self::proxy_seed(&stats.layer));
-        let s = SyntheticLayer::generate(
-            &proxy,
-            &WeightProfile::benchmark(stats.w_bits),
-            &ActivationProfile::new(stats.a_bits),
-            &mut gen,
-        );
-        let atom_bits = self.analytic.config().atom_bits;
-        let measured = LayerStats::measure(
-            &proxy,
-            &s.fmap,
-            &s.kernels,
-            stats.a_bits,
-            stats.w_bits,
-            atom_bits.bits(),
-        );
-        let proxy_analytic = self.analytic.simulate_layer(&measured, false);
-        let report = self
-            .core
-            .run_layer(
-                &s.fmap,
-                &s.kernels,
-                stats.a_bits.bits(),
-                stats.w_bits.bits(),
-            )
-            .expect("proxy layer streams are well-formed");
-
-        // Rescale the measured makespan to the full layer via the analytic
-        // model's estimate of both.
-        let scale = if proxy_analytic.cycles == 0 {
-            1.0
-        } else {
-            full.cycles as f64 / proxy_analytic.cycles as f64
-        };
-        let cycles = ((report.makespan as f64) * scale).round().max(1.0) as u64;
-
-        BaselineLayerReport {
-            name: full.name,
-            cycles,
-            effectual_ops: full.atom_mults,
-            dram_bits: full.dram_bits,
-            energy: full.energy,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::RistrettoConfig;
     use qnn::models::NetworkId;
     use qnn::quant::BitWidth;
-    use qnn::rng::SeededRng;
     use qnn::workload::PrecisionPolicy;
 
     fn stats() -> NetworkStats {
@@ -220,7 +79,7 @@ mod tests {
 
     #[test]
     fn analytic_backend_matches_inherent_model() {
-        let sim = RistrettoSim::new(RistrettoConfig::paper_default());
+        let sim = RistrettoSim::try_new(RistrettoConfig::paper_default()).unwrap();
         let net = stats();
         let inherent = RistrettoSim::simulate_network(&sim, &net);
         let via_trait = Backend::simulate_network(&sim, &net);
@@ -236,49 +95,7 @@ mod tests {
 
     #[test]
     fn non_sparse_variant_renames_itself() {
-        let ns = RistrettoSim::new(RistrettoConfig::paper_default().non_sparse());
+        let ns = RistrettoSim::try_new(RistrettoConfig::paper_default().non_sparse()).unwrap();
         assert_eq!(Backend::name(&ns), "Ristretto-ns");
-    }
-
-    #[test]
-    fn backends_sweep_as_trait_objects() {
-        let sim = RistrettoSim::new(RistrettoConfig::paper_default());
-        let cycle = CycleRistretto::try_new(RistrettoConfig {
-            tiles: 4,
-            multipliers: 8,
-            ..RistrettoConfig::paper_default()
-        })
-        .unwrap();
-        let machines: Vec<&dyn Backend> = vec![&sim, &cycle];
-        let layer = ConvLayer::conv("t", 8, 16, 3, 1, 1, 16, 16).unwrap();
-        let mut rng = SeededRng::new(7);
-        let ls = LayerStats::generate(
-            &layer,
-            &WeightProfile::benchmark(BitWidth::W4),
-            &ActivationProfile::new(BitWidth::W8),
-            2,
-            &mut rng,
-        );
-        for m in machines {
-            let r = m.simulate_layer(&ls);
-            assert!(r.cycles > 0, "{} produced zero cycles", m.name());
-            assert!(m.area_mm2() > 0.0);
-        }
-    }
-
-    #[test]
-    fn cycle_backend_is_deterministic() {
-        let cfg = RistrettoConfig {
-            tiles: 4,
-            multipliers: 8,
-            ..RistrettoConfig::paper_default()
-        };
-        let a = CycleRistretto::try_new(cfg).unwrap();
-        let b = CycleRistretto::try_new(cfg).unwrap();
-        let net = stats();
-        assert_eq!(
-            Backend::simulate_network(&a, &net),
-            Backend::simulate_network(&b, &net)
-        );
     }
 }

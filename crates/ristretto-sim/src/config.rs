@@ -212,17 +212,9 @@ impl RistrettoConfig {
     /// Fig 19 granularity ablation presets: same BitOps/cycle across
     /// 1/2/3-bit atoms via 64/16/7 multipliers per tile.
     ///
-    /// # Panics
-    /// Panics for granularities other than 1, 2 or 3 bits; use
-    /// [`RistrettoConfig::try_granularity`] for a fallible variant.
-    pub fn granularity(bits: u8) -> Self {
-        match Self::try_granularity(bits) {
-            Ok(cfg) => cfg,
-            Err(_) => panic!("Fig 19 evaluates 1/2/3-bit atoms, not {bits}"),
-        }
-    }
-
-    /// Fallible variant of [`RistrettoConfig::granularity`].
+    /// # Errors
+    /// Returns [`ConfigError::UnsupportedGranularity`] for granularities
+    /// other than 1, 2 or 3 bits.
     pub fn try_granularity(bits: u8) -> Result<Self, ConfigError> {
         let (atom_bits, multipliers) = match bits {
             1 => (AtomBits::B1, 64),
@@ -405,18 +397,20 @@ mod tests {
 
     #[test]
     fn granularity_presets_match_bitops() {
-        let b1 = RistrettoConfig::granularity(1);
-        let b2 = RistrettoConfig::granularity(2);
-        let b3 = RistrettoConfig::granularity(3);
+        let b1 = RistrettoConfig::try_granularity(1).unwrap();
+        let b2 = RistrettoConfig::try_granularity(2).unwrap();
+        let b3 = RistrettoConfig::try_granularity(3).unwrap();
         assert_eq!(b1.peak_bitops_per_cycle(), 32 * 64);
         assert_eq!(b2.peak_bitops_per_cycle(), 32 * 64);
         assert_eq!(b3.peak_bitops_per_cycle(), 32 * 63);
     }
 
     #[test]
-    #[should_panic(expected = "Fig 19")]
     fn granularity_rejects_other_widths() {
-        let _ = RistrettoConfig::granularity(4);
+        assert_eq!(
+            RistrettoConfig::try_granularity(4),
+            Err(ConfigError::UnsupportedGranularity(4))
+        );
     }
 
     #[test]

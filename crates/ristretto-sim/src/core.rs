@@ -98,6 +98,7 @@ impl CoreReport {
 #[derive(Debug, Clone)]
 pub struct CoreSim {
     cfg: RistrettoConfig,
+    tile: TileSim,
 }
 
 impl CoreSim {
@@ -117,8 +118,10 @@ impl CoreSim {
     /// # Errors
     /// Returns the [`ConfigError`] describing the inconsistency.
     pub fn try_new(cfg: RistrettoConfig) -> Result<Self, ConfigError> {
-        cfg.validate()?;
-        Ok(Self { cfg })
+        Ok(Self {
+            tile: TileSim::try_new(&cfg)?,
+            cfg,
+        })
     }
 
     /// Builds the per-tile activation streams of every input channel (the
@@ -239,7 +242,7 @@ impl CoreSim {
             self.cfg.balancing,
         );
 
-        let tile_sim = TileSim::new(&self.cfg);
+        let tile_sim = &self.tile;
         // One simulated tile per group, in group order.
         let mut stats = FaultStats::default();
         let tiles: Vec<TileReport> = assignment
@@ -273,7 +276,7 @@ impl CoreSim {
                                     item: 0,
                                 };
                                 run_tile_with_retries(
-                                    &tile_sim, ws, acts, injector, site, &mut stats,
+                                    tile_sim, ws, acts, injector, site, &mut stats,
                                 )?
                             }
                         };
@@ -365,12 +368,13 @@ mod tests {
     fn materialized(seed: u64) -> SyntheticLayer {
         let layer = qnn::layers::ConvLayer::conv("core", 12, 8, 3, 1, 1, 12, 12).unwrap();
         let mut gen = WorkloadGen::new(seed);
-        SyntheticLayer::generate(
+        SyntheticLayer::try_generate(
             &layer,
             &WeightProfile::benchmark(BitWidth::W4),
             &ActivationProfile::new(BitWidth::W8),
             &mut gen,
         )
+        .unwrap()
     }
 
     fn small_cfg(strategy: BalanceStrategy) -> RistrettoConfig {

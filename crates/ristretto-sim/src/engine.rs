@@ -894,8 +894,7 @@ impl Session {
     /// fault as [`EngineError::Fault`].
     pub fn run_cycle_level(&self, input: &Tensor3) -> Result<SessionCycleRun, EngineError> {
         let _span = obs::span("engine.run_cycle_level");
-        let core =
-            CoreSim::try_new(self.net.cfg).expect("configuration was validated at compile time");
+        let core = CoreSim::try_new(self.net.cfg)?;
         let injector = self.net.cfg.faults.map(FaultInjector::new);
         let mut act = input.clone();
         let mut traces = Vec::with_capacity(self.net.layers.len());

@@ -12,7 +12,7 @@
 //! workflow: [`engine::compile`] produces every *static* artifact (weight
 //! streams, per-channel statistics, buffer layout, the weight-only balancer
 //! grouping) once per network, and [`engine::Session`]s perform only the
-//! per-input work. [`backend`] plugs both Ristretto models into the
+//! per-input work. [`backend`] plugs the analytic model into the
 //! workspace-wide [`baselines::report::Backend`] trait alongside the six
 //! baseline machines. [`fleet`] scales the engine to a core array (Fig 7):
 //! it shards a compiled network under explicit strategies and routes
@@ -36,7 +36,6 @@
 pub mod analytic;
 pub mod area;
 pub mod artifact;
-pub mod atomizer;
 pub mod backend;
 pub mod balance;
 pub mod config;
@@ -56,10 +55,8 @@ pub mod weightbuf;
 
 /// Glob import of the commonly used items.
 pub mod prelude {
-    pub use crate::analytic::{simulate_layer, simulate_network, RistrettoSim};
+    pub use crate::analytic::RistrettoSim;
     pub use crate::area::AreaBreakdown;
-    pub use crate::atomizer::Atomizer;
-    pub use crate::backend::CycleRistretto;
     pub use crate::balance::{balance, BalanceStrategy, ChannelWorkload};
     pub use crate::config::{ConfigError, FleetConfig, RistrettoConfig};
     pub use crate::core::{CoreError, CoreReport, CoreSim};

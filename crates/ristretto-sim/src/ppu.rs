@@ -69,15 +69,6 @@ impl PostProcessor {
 
     /// Processes one layer's accumulated outputs.
     ///
-    /// # Panics
-    /// Panics when the configured tile extents are zero; use
-    /// [`PostProcessor::try_process`] for a fallible variant.
-    pub fn process(&self, acc: &AccTensor3) -> PpuOutput {
-        self.try_process(acc).expect("non-zero tile extents")
-    }
-
-    /// Fallible variant of [`PostProcessor::process`].
-    ///
     /// # Errors
     /// Returns an error when the configured COO-2D tile extents are zero.
     pub fn try_process(&self, acc: &AccTensor3) -> Result<PpuOutput, qnn::error::QnnError> {
@@ -127,7 +118,7 @@ mod tests {
             out_bits: 4,
             ..PostProcessor::new(2, 4)
         };
-        let out = ppu.process(&acc);
+        let out = ppu.try_process(&acc).unwrap();
         assert_eq!(out.activations.channel(0), &[0, 2, 15, 0]);
         assert_eq!(out.activations.channel(1), &[1, 1, 1, 1]);
         assert_eq!(out.values_per_channel, vec![2, 4]);
@@ -150,7 +141,7 @@ mod tests {
             out_bits: 4,
             ..PostProcessor::new(1, 4)
         };
-        let out = ppu.process(&acc);
+        let out = ppu.try_process(&acc).unwrap();
         assert_eq!(out.activations.channel(0), &[0, 0, 0, 0]);
         assert_eq!(out.activations.channel(1), &[3, 0, 4, 15]);
         assert_eq!(out.values_per_channel, vec![0, 3]);
@@ -160,7 +151,7 @@ mod tests {
     fn compressed_roundtrips() {
         let acc = acc_from(&[0, 12, 0, 300, 0, 0, 5, 0], 2, 2, 2);
         let ppu = PostProcessor::new(0, 8);
-        let out = ppu.process(&acc);
+        let out = ppu.try_process(&acc).unwrap();
         assert_eq!(out.compressed.to_tensor(2, 2), out.activations);
         assert_eq!(out.compressed.count_nonzero() as u64, out.total_values());
     }
@@ -177,7 +168,7 @@ mod tests {
             4,
         );
         let ppu = PostProcessor::new(1, 8);
-        let out = ppu.process(&acc);
+        let out = ppu.try_process(&acc).unwrap();
         let stats = SparsityStats::from_tensor3(&out.activations, 8, 2);
         assert_eq!(out.total_atoms(), stats.nonzero_atoms);
         assert_eq!(out.total_values() as usize, stats.nonzero_values);

@@ -193,9 +193,10 @@ impl ServeConfig {
     }
 
     /// The queue depth at which brownout starts shedding `BestEffort`
-    /// admissions.
+    /// admissions. Computed in `u128`, so it is exact at any capacity.
     pub fn brownout_highwater(&self) -> usize {
-        (self.queue_capacity * self.brownout_permille as usize / 1000).max(1)
+        let mark = self.queue_capacity as u128 * u128::from(self.brownout_permille) / 1000;
+        usize::try_from(mark).unwrap_or(usize::MAX).max(1)
     }
 
     /// Validates internal consistency.
@@ -440,5 +441,13 @@ mod tests {
         c.queue_capacity = 1;
         c.brownout_permille = 1;
         assert_eq!(c.brownout_highwater(), 1);
+    }
+
+    #[test]
+    fn brownout_highwater_is_exact_at_the_largest_capacity() {
+        let mut c = ServeConfig::paper_default();
+        c.queue_capacity = usize::MAX;
+        c.brownout_permille = 500;
+        assert_eq!(c.brownout_highwater(), usize::MAX / 2);
     }
 }

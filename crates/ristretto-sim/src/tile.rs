@@ -64,15 +64,6 @@ pub struct TileSim {
 impl TileSim {
     /// Builds a tile simulator from an architecture configuration.
     ///
-    /// # Panics
-    /// Panics on an invalid configuration; use [`TileSim::try_new`] for a
-    /// fallible variant.
-    pub fn new(cfg: &RistrettoConfig) -> Self {
-        Self::try_new(cfg).expect("valid Ristretto configuration")
-    }
-
-    /// Fallible variant of [`TileSim::new`].
-    ///
     /// # Errors
     /// Returns the [`ConfigError`] describing the inconsistency.
     pub fn try_new(cfg: &RistrettoConfig) -> Result<Self, ConfigError> {
@@ -302,7 +293,7 @@ mod tests {
     #[test]
     fn matches_eq3_when_stall_free() {
         let (w, a) = random_streams(3, 20, 40, 32, true);
-        let sim = TileSim::new(&cfg(32));
+        let sim = TileSim::try_new(&cfg(32)).unwrap();
         let r = sim.run(&w, &a);
         let ideal = sim.ideal(a.len() as u64, w.len() as u64);
         assert_eq!(r.atom_mults, a.len() as u64 * w.len() as u64);
@@ -320,7 +311,7 @@ mod tests {
         // Many weight atoms on few output channels maximize contention.
         let (w_shuf, a) = random_streams(7, 24, 64, 4, true);
         let (w_naive, _) = random_streams(7, 24, 64, 4, false);
-        let sim = TileSim::new(&cfg(16));
+        let sim = TileSim::try_new(&cfg(16)).unwrap();
         let rs = sim.run(&w_shuf, &a);
         let rn = sim.run(&w_naive, &a);
         assert_eq!(rs.atom_mults, rn.atom_mults);
@@ -346,7 +337,7 @@ mod tests {
         // A single output channel forces every delivery into one bank, so
         // any cycle with two deliveries is a conflict.
         let (w, a) = random_streams(17, 24, 48, 1, true);
-        let sim = TileSim::new(&cfg(16));
+        let sim = TileSim::try_new(&cfg(16)).unwrap();
         let r = sim.run(&w, &a);
         assert!(r.crossbar_conflicts > 0, "expected bank collisions");
         // Each conflict queues one entry; none can exceed the delivery count.
@@ -355,7 +346,7 @@ mod tests {
 
     #[test]
     fn empty_streams_cost_nothing() {
-        let sim = TileSim::new(&cfg(8));
+        let sim = TileSim::try_new(&cfg(8)).unwrap();
         let (w, _) = random_streams(1, 4, 4, 2, true);
         let empty_a = ActivationStream::default();
         assert_eq!(sim.run(&w, &empty_a), TileReport::default());
@@ -367,7 +358,7 @@ mod tests {
     #[test]
     fn deliveries_equal_values_times_weight_atoms() {
         let (w, a) = random_streams(11, 16, 24, 32, true);
-        let sim = TileSim::new(&cfg(32));
+        let sim = TileSim::try_new(&cfg(32)).unwrap();
         let r = sim.run(&w, &a);
         assert_eq!(r.deliveries, a.value_count() as u64 * w.len() as u64);
     }
@@ -376,7 +367,7 @@ mod tests {
     fn quiescent_injector_is_byte_identical_to_clean_run() {
         use crate::fault::{FaultConfig, FaultInjector, FaultSite};
         let (w, a) = random_streams(19, 24, 48, 8, true);
-        let sim = TileSim::new(&cfg(16));
+        let sim = TileSim::try_new(&cfg(16)).unwrap();
         let clean = sim.run(&w, &a);
         let injector = FaultInjector::new(FaultConfig::quiescent(42));
         let site = FaultSite {
@@ -400,7 +391,7 @@ mod tests {
     fn fifo_faults_are_detected_and_deterministic() {
         use crate::fault::{FaultConfig, FaultInjector, FaultSite, FaultStructure};
         let (w, a) = random_streams(23, 32, 64, 8, true);
-        let sim = TileSim::new(&cfg(16));
+        let sim = TileSim::try_new(&cfg(16)).unwrap();
         // A high rate guarantees at least one drop/duplicate in ~1.5k
         // deliveries.
         let cfg_f = FaultConfig::quiescent(7).with_rate(FaultStructure::Fifo, 20_000);
@@ -437,8 +428,8 @@ mod tests {
         shallow_cfg.fifo_depth = 1;
         let mut deep_cfg = cfg(16);
         deep_cfg.fifo_depth = 64;
-        let shallow = TileSim::new(&shallow_cfg).run(&w, &a);
-        let deep = TileSim::new(&deep_cfg).run(&w, &a);
+        let shallow = TileSim::try_new(&shallow_cfg).unwrap().run(&w, &a);
+        let deep = TileSim::try_new(&deep_cfg).unwrap().run(&w, &a);
         assert!(deep.stall_cycles <= shallow.stall_cycles);
         assert!(deep.cycles <= shallow.cycles);
     }

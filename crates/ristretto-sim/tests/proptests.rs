@@ -96,7 +96,7 @@ proptest! {
         let acts = compress_activations(&fa, 8, AtomBits::B2).unwrap();
         let weights = compress_weights(&fw, 8, AtomBits::B2).unwrap();
         let cfg = RistrettoConfig { multipliers: mults, ..RistrettoConfig::paper_default() };
-        let sim = TileSim::new(&cfg);
+        let sim = TileSim::try_new(&cfg).unwrap();
         let r = sim.run(&weights, &acts);
         // Counters are exact regardless of scheduling.
         prop_assert_eq!(r.atom_mults, acts.len() as u64 * weights.len() as u64);

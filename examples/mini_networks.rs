@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "network", "stages", "atom mults", "steps", "dense atoms", "saved"
     );
     for id in NetworkId::ALL {
-        let mini = MiniNetwork::new(id);
+        let mini = MiniNetwork::try_new(id)?;
         let mut gen = WorkloadGen::new(42 + id as u64);
         let (c, h, w) = mini.input;
         let input = gen.activations(c, h, w, &ActivationProfile::new(BitWidth::W8))?;

@@ -19,7 +19,7 @@ fn everything_is_deterministic() {
     let a = stats(BitWidth::W4);
     let b = stats(BitWidth::W4);
     assert_eq!(a, b);
-    let sim = RistrettoSim::new(RistrettoConfig::paper_default());
+    let sim = RistrettoSim::try_new(RistrettoConfig::paper_default()).unwrap();
     assert_eq!(sim.simulate_network(&a), sim.simulate_network(&b));
     let sp = SparTen::paper_default();
     assert_eq!(sp.simulate_network(&a), sp.simulate_network(&b));
@@ -30,7 +30,9 @@ fn ristretto_outpaces_every_baseline_in_raw_cycles() {
     // With equal 2b-multiplier budget (1024) Ristretto's sparse dataflow
     // should be fastest in raw cycles on a pruned 4-bit model.
     let net = stats(BitWidth::W4);
-    let r = RistrettoSim::new(RistrettoConfig::paper_default()).simulate_network(&net);
+    let r = RistrettoSim::try_new(RistrettoConfig::paper_default())
+        .unwrap()
+        .simulate_network(&net);
     let bf = BitFusion::paper_default().simulate_network(&net);
     let lac = Laconic::paper_default().simulate_network(&net);
     let sp = SparTen::paper_default().simulate_network(&net);
@@ -45,8 +47,9 @@ fn ristretto_ns_tracks_bitfusion() {
     // Fusion (same effective throughput per multiplier).
     for bits in [BitWidth::W8, BitWidth::W4, BitWidth::W2] {
         let net = stats(bits);
-        let rns =
-            RistrettoSim::new(RistrettoConfig::paper_default().non_sparse()).simulate_network(&net);
+        let rns = RistrettoSim::try_new(RistrettoConfig::paper_default().non_sparse())
+            .unwrap()
+            .simulate_network(&net);
         let bf = BitFusion::paper_default().simulate_network(&net);
         let ratio = rns.total_cycles() as f64 / bf.total_cycles() as f64;
         assert!(
@@ -86,7 +89,9 @@ fn compressed_traffic_beats_dense_traffic() {
     // Ristretto's COO-2D compression must move fewer DRAM bits than the
     // dense baselines on a sparse model.
     let net = stats(BitWidth::W4);
-    let r = RistrettoSim::new(RistrettoConfig::paper_default()).simulate_network(&net);
+    let r = RistrettoSim::try_new(RistrettoConfig::paper_default())
+        .unwrap()
+        .simulate_network(&net);
     let bf = BitFusion::paper_default().simulate_network(&net);
     let r_bits: u64 = r.layers.iter().map(|l| l.dram_bits).sum();
     let b_bits: u64 = bf.layers.iter().map(|l| l.dram_bits).sum();
@@ -101,7 +106,7 @@ fn precision_scaling_directions_match_table_v() {
     let c2 = stats(BitWidth::W2);
     let bf = BitFusion::paper_default();
     let sp = SparTen::paper_default();
-    let r = RistrettoSim::new(RistrettoConfig::paper_default());
+    let r = RistrettoSim::try_new(RistrettoConfig::paper_default()).unwrap();
 
     let bf_gain = bf.simulate_network(&c8).total_cycles() as f64
         / bf.simulate_network(&c2).total_cycles() as f64;

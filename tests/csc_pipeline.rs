@@ -12,12 +12,13 @@ use ristretto::qnn::workload::{ActivationProfile, SyntheticLayer, WeightProfile,
 
 fn check_layer(layer: &ConvLayer, a_bits: BitWidth, w_bits: BitWidth, seed: u64) {
     let mut gen = WorkloadGen::new(seed);
-    let s = SyntheticLayer::generate(
+    let s = SyntheticLayer::try_generate(
         layer,
         &WeightProfile::benchmark(w_bits),
         &ActivationProfile::new(a_bits),
         &mut gen,
-    );
+    )
+    .unwrap();
     let geom = layer.geometry();
     let dense = conv2d(&s.fmap, &s.kernels, geom).expect("dense conv");
     for (th, tw) in [(4, 4), (8, 8)] {
@@ -67,12 +68,13 @@ fn csc_matches_dense_across_precisions() {
 fn two_layer_chain_with_requantization() {
     let mut gen = WorkloadGen::new(55);
     let l1 = ConvLayer::conv("l1", 4, 8, 3, 1, 1, 12, 12).unwrap();
-    let s1 = SyntheticLayer::generate(
+    let s1 = SyntheticLayer::try_generate(
         &l1,
         &WeightProfile::benchmark(BitWidth::W4),
         &ActivationProfile::new(BitWidth::W8),
         &mut gen,
-    );
+    )
+    .unwrap();
     let w2 = gen
         .weights(6, 8, 3, 3, &WeightProfile::benchmark(BitWidth::W4))
         .expect("kernel generation");
@@ -106,12 +108,13 @@ fn two_layer_chain_with_requantization() {
 fn atom_granularities_agree_with_each_other() {
     let layer = ConvLayer::conv("gran", 5, 10, 3, 1, 1, 9, 9).unwrap();
     let mut gen = WorkloadGen::new(77);
-    let s = SyntheticLayer::generate(
+    let s = SyntheticLayer::try_generate(
         &layer,
         &WeightProfile::benchmark(BitWidth::W8),
         &ActivationProfile::new(BitWidth::W8),
         &mut gen,
-    );
+    )
+    .unwrap();
     let geom = layer.geometry();
     let reference = conv2d(&s.fmap, &s.kernels, geom).unwrap();
     for gran in [AtomBits::B1, AtomBits::B2, AtomBits::B3, AtomBits::B4] {
@@ -130,18 +133,20 @@ fn atom_granularities_agree_with_each_other() {
 fn sparser_inputs_do_strictly_less_work() {
     let layer = ConvLayer::conv("sparsity", 6, 12, 3, 1, 1, 12, 12).unwrap();
     let mut gen = WorkloadGen::new(3);
-    let dense_s = SyntheticLayer::generate(
+    let dense_s = SyntheticLayer::try_generate(
         &layer,
         &WeightProfile::benchmark(BitWidth::W8).with_prune(0.1),
         &ActivationProfile::new(BitWidth::W8),
         &mut gen,
-    );
-    let sparse_s = SyntheticLayer::generate(
+    )
+    .unwrap();
+    let sparse_s = SyntheticLayer::try_generate(
         &layer,
         &WeightProfile::benchmark(BitWidth::W8).with_prune(0.8),
         &ActivationProfile::new(BitWidth::W8),
         &mut gen,
-    );
+    )
+    .unwrap();
     let cfg = CscConfig::default();
     let geom = layer.geometry();
     let a = conv2d_csc(

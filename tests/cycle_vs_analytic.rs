@@ -16,12 +16,13 @@ use ristretto::ristretto_sim::tile::TileSim;
 fn small_layer(seed: u64) -> SyntheticLayer {
     let layer = ConvLayer::conv("xval", 4, 8, 3, 1, 1, 8, 8).unwrap();
     let mut gen = WorkloadGen::new(seed);
-    SyntheticLayer::generate(
+    SyntheticLayer::try_generate(
         &layer,
         &WeightProfile::benchmark(BitWidth::W4),
         &ActivationProfile::new(BitWidth::W8),
         &mut gen,
     )
+    .unwrap()
 }
 
 #[test]
@@ -31,7 +32,7 @@ fn tile_sim_matches_closed_form_per_channel() {
         multipliers: 8,
         ..RistrettoConfig::paper_default()
     };
-    let sim = TileSim::new(&cfg);
+    let sim = TileSim::try_new(&cfg).unwrap();
     for ci in 0..4 {
         let wf = flatten_kernel_channel(&s.kernels, ci).unwrap();
         let ws = compress_weights(&wf, 4, AtomBits::B2).unwrap();
@@ -104,12 +105,13 @@ fn analytic_model_on_measured_stats_tracks_cycle_level_core() {
     // stall terms validates the whole modelling chain.
     let layer = ConvLayer::conv("xval2", 8, 8, 3, 1, 1, 8, 8).unwrap();
     let mut gen = WorkloadGen::new(91);
-    let s = SyntheticLayer::generate(
+    let s = SyntheticLayer::try_generate(
         &layer,
         &WeightProfile::benchmark(BitWidth::W4),
         &ActivationProfile::new(BitWidth::W8),
         &mut gen,
-    );
+    )
+    .unwrap();
     let cfg = RistrettoConfig {
         tiles: 4,
         multipliers: 8,
@@ -118,7 +120,9 @@ fn analytic_model_on_measured_stats_tracks_cycle_level_core() {
         ..RistrettoConfig::paper_default()
     };
     let stats = LayerStats::measure(&layer, &s.fmap, &s.kernels, BitWidth::W8, BitWidth::W4, 2);
-    let analytic = RistrettoSim::new(cfg).simulate_layer(&stats, false);
+    let analytic = RistrettoSim::try_new(cfg)
+        .unwrap()
+        .simulate_layer(&stats, false);
     let core = CoreSim::try_new(cfg)
         .unwrap()
         .run_layer(&s.fmap, &s.kernels, 8, 4)
@@ -142,7 +146,7 @@ fn analytic_layer_cycles_bracket_tile_sim() {
         multipliers: 16,
         ..RistrettoConfig::paper_default()
     };
-    let sim = TileSim::new(&cfg);
+    let sim = TileSim::try_new(&cfg).unwrap();
     for ci in 0..4 {
         let wf = flatten_kernel_channel(&s.kernels, ci).unwrap();
         let ws = compress_weights(&wf, 4, AtomBits::B2).unwrap();

@@ -19,12 +19,13 @@ use ristretto_sim::engine::{compile, NetworkModel, Session};
 fn materialized(seed: u64) -> SyntheticLayer {
     let layer = qnn::layers::ConvLayer::conv("eq", 10, 12, 3, 1, 1, 13, 13).unwrap();
     let mut gen = WorkloadGen::new(seed);
-    SyntheticLayer::generate(
+    SyntheticLayer::try_generate(
         &layer,
         &WeightProfile::benchmark(BitWidth::W4),
         &ActivationProfile::new(BitWidth::W8),
         &mut gen,
     )
+    .unwrap()
 }
 
 /// Runs `f` under an explicit worker-thread count.

@@ -38,7 +38,7 @@ fn run_csc(model: &NetworkModel, input: &Tensor3) -> SessionRun {
 #[test]
 fn all_six_minis_run_csc_inference_exactly() {
     for id in NetworkId::ALL {
-        let mini = MiniNetwork::new(id);
+        let mini = MiniNetwork::try_new(id).unwrap();
         mini.validate_chaining().unwrap();
         let mut gen = WorkloadGen::new(7000 + id as u64);
         let (c, h, w) = mini.input;
@@ -58,7 +58,7 @@ fn all_six_minis_run_csc_inference_exactly() {
 #[test]
 fn minis_run_at_low_precision_too() {
     for (w_bits, a_bits) in [(BitWidth::W2, BitWidth::W2), (BitWidth::W2, BitWidth::W4)] {
-        let mini = MiniNetwork::new(NetworkId::ResNet18);
+        let mini = MiniNetwork::try_new(NetworkId::ResNet18).unwrap();
         let mut gen = WorkloadGen::new(8100 + w_bits.bits() as u64);
         let (c, h, w) = mini.input;
         let input = gen
@@ -74,7 +74,7 @@ fn minis_run_at_low_precision_too() {
 #[test]
 fn mini_traces_feed_balancer_statistics() {
     use ristretto::ristretto_sim::balance::{balance, BalanceStrategy, ChannelWorkload};
-    let mini = MiniNetwork::new(NetworkId::Vgg16);
+    let mini = MiniNetwork::try_new(NetworkId::Vgg16).unwrap();
     let mut gen = WorkloadGen::new(8200);
     let (c, h, w) = mini.input;
     let input = gen

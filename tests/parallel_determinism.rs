@@ -21,12 +21,13 @@ use ristretto_sim::core::{CoreReport, CoreSim};
 fn materialized(seed: u64) -> SyntheticLayer {
     let layer = qnn::layers::ConvLayer::conv("det", 12, 8, 3, 1, 1, 14, 14).unwrap();
     let mut gen = WorkloadGen::new(seed);
-    SyntheticLayer::generate(
+    SyntheticLayer::try_generate(
         &layer,
         &WeightProfile::benchmark(BitWidth::W4),
         &ActivationProfile::new(BitWidth::W8),
         &mut gen,
     )
+    .unwrap()
 }
 
 /// Runs `f` under an explicit worker-thread count.

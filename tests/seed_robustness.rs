@@ -13,7 +13,7 @@ const SEEDS: [u64; 3] = [1, 777, 424242];
 
 #[test]
 fn ristretto_beats_bitfusion_for_every_seed() {
-    let sim = RistrettoSim::new(RistrettoConfig::paper_default());
+    let sim = RistrettoSim::try_new(RistrettoConfig::paper_default()).unwrap();
     let bf = BitFusion::paper_default();
     for seed in SEEDS {
         for bits in [BitWidth::W8, BitWidth::W2] {
@@ -41,7 +41,7 @@ fn ristretto_beats_bitfusion_for_every_seed() {
 
 #[test]
 fn sparten_gap_grows_at_low_precision_for_every_seed() {
-    let sim = RistrettoSim::new(RistrettoConfig::half_width());
+    let sim = RistrettoSim::try_new(RistrettoConfig::half_width()).unwrap();
     let sp = SparTen::paper_default();
     for seed in SEEDS {
         let speedup = |bits| {
@@ -92,7 +92,10 @@ fn balancing_verdict_for_every_seed() {
         );
         let cycles = |strategy| {
             let cfg = RistrettoConfig::paper_default().with_balancing(strategy);
-            RistrettoSim::new(cfg).simulate_network(&net).total_cycles()
+            RistrettoSim::try_new(cfg)
+                .unwrap()
+                .simulate_network(&net)
+                .total_cycles()
         };
         let none = cycles(BalanceStrategy::None);
         let wa = cycles(BalanceStrategy::WeightActivation);

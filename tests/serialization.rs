@@ -55,7 +55,9 @@ fn network_stats_roundtrip() {
 
 #[test]
 fn ristretto_report_roundtrip() {
-    let report = RistrettoSim::new(RistrettoConfig::paper_default()).simulate_network(&small_net());
+    let report = RistrettoSim::try_new(RistrettoConfig::paper_default())
+        .unwrap()
+        .simulate_network(&small_net());
     json_fixed_point(&report);
     let back = roundtrip(&report);
     assert_eq!(back.total_cycles(), report.total_cycles());
