@@ -35,12 +35,13 @@
 //! dumped as a JSON repro under `--repro-dir` (default
 //! `diffcheck_repros/`).
 //!
-//! `--threads <n>` caps the worker threads of the parallel execution layer
-//! (default: all hardware threads; `--threads 1` forces the serial path).
-//! Every parallel fan-out in the harness collects results in deterministic
-//! input order, so stdout, the `--json` file and the `--metrics` file are
-//! byte-identical at any thread count. Per-experiment wall times go to
-//! stderr only, keeping stdout reproducible.
+//! `--threads <n>` caps the worker threads of the harness's own fan-out
+//! (experiment items, the stats-cache prefill, `scaling`'s design points,
+//! diffcheck's pools; default: all hardware threads). The engine, core,
+//! fleet and CSC kernel run each layer on one thread. Every fan-out
+//! collects results in input order, so stdout, the `--json` file and the
+//! `--metrics` file are byte-identical at any thread count. Per-experiment
+//! wall times go to stderr only, keeping stdout reproducible.
 //!
 //! `--batch <n>` sets the images served per compiled network by the
 //! `batch` experiment (default 1; implies `batch` when no experiment is
@@ -75,15 +76,22 @@
 //! `--timeout-secs <n>` arms an opt-in watchdog: if any single experiment
 //! (or chaos/diffcheck case) runs longer than `n` seconds, the process
 //! aborts with a diagnostic naming the hung step and its elapsed time.
+//!
+//! Every flag, the value it takes and the subcommands it applies to are
+//! one row of [`FLAGS`]; the parser and its error messages read them from
+//! there.
 
 use bench::cache::StatsCache;
 use bench::experiments::{
     ablations, engine_batch, fig01, fig04, fig12, fig14, fig15, fig17, fig18, fig19, motivation,
     scaling, table6,
 };
+use bench::serve_cli::{self, ServeArgs};
 use bench::stats_gate;
+use std::collections::BTreeMap;
+use std::path::Path;
 use std::process::ExitCode;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 const USAGE: &str = "usage: repro <fig1|fig4|fig12|fig13|fig14|fig15|fig16|fig17|fig18|fig19|table6|motivation|scaling|ablations|batch|all> [--quick] [--json <path>] [--metrics <path>] [--threads <n>] [--trace] [--batch <n>] [--model-cache <dir>] [--timeout-secs <n>]
@@ -104,7 +112,7 @@ const USAGE: &str = "usage: repro <fig1|fig4|fig12|fig13|fig14|fig15|fig16|fig17
 /// Upper bound on `serve --clients` and `--max-batch`. The server keeps one
 /// batch-histogram bucket per batch size and the load generator one state
 /// per client, so an unbounded count aborts on capacity overflow.
-const MAX_SERVE_COUNT: usize = 1 << 16;
+const MAX_SERVE_COUNT: u64 = 1 << 16;
 
 /// Canonical experiment order of `repro all`.
 const ALL: [&str; 13] = [
@@ -123,334 +131,393 @@ const ALL: [&str; 13] = [
     "batch",
 ];
 
-/// Parsed command line.
+/// One flag: its name, the value it takes and the subcommands it applies
+/// to (empty: every subcommand).
+struct Flag {
+    name: &'static str,
+    kind: Kind,
+    only: &'static [&'static str],
+}
+
+/// The value a flag takes.
+enum Kind {
+    /// None: the flag is a switch.
+    Switch,
+    /// A string, checked by `check` where it is read.
+    Text {
+        /// Completes "`<flag>` requires …".
+        what: &'static str,
+        check: fn(&str) -> Result<(), String>,
+    },
+    /// An unsigned integer.
+    Int(Int),
+}
+
+/// An integer flag's wording, type width and bounds.
+struct Int {
+    /// Completes "`<flag>` requires …".
+    what: &'static str,
+    /// Completes "invalid … `<value>`".
+    noun: &'static str,
+    /// Width of the integer type the value must fit.
+    bits: u32,
+    min: u64,
+    max: u64,
+    /// Unit of the bounds in a range error.
+    unit: &'static str,
+    /// A range error names both bounds (`within 1..=1000`), not the one
+    /// the value crossed.
+    within: bool,
+}
+
+/// Applies to every subcommand.
+const ANY: &[&str] = &[];
+const SERVE: &[&str] = &["serve"];
+const DIFFCHECK: &[&str] = &["diffcheck"];
+
+impl Flag {
+    const fn switch(name: &'static str, only: &'static [&'static str]) -> Self {
+        Self {
+            name,
+            kind: Kind::Switch,
+            only,
+        }
+    }
+
+    const fn text(name: &'static str, what: &'static str, only: &'static [&'static str]) -> Self {
+        Self::checked(name, what, |_| Ok(()), only)
+    }
+
+    const fn checked(
+        name: &'static str,
+        what: &'static str,
+        check: fn(&str) -> Result<(), String>,
+        only: &'static [&'static str],
+    ) -> Self {
+        Self {
+            name,
+            kind: Kind::Text { what, check },
+            only,
+        }
+    }
+
+    const fn int(name: &'static str, int: Int, only: &'static [&'static str]) -> Self {
+        Self {
+            name,
+            kind: Kind::Int(int),
+            only,
+        }
+    }
+}
+
+impl Int {
+    /// A `bits`-wide integer bounded only by its type.
+    const fn new(what: &'static str, noun: &'static str, bits: u32) -> Self {
+        Self {
+            what,
+            noun,
+            bits,
+            min: 0,
+            max: u64::MAX,
+            unit: "",
+            within: false,
+        }
+    }
+
+    const fn min(self, min: u64) -> Self {
+        Self { min, ..self }
+    }
+
+    const fn max(self, max: u64) -> Self {
+        Self { max, ..self }
+    }
+
+    const fn within(self, min: u64, max: u64) -> Self {
+        Self {
+            min,
+            max,
+            within: true,
+            ..self
+        }
+    }
+
+    const fn unit(self, unit: &'static str) -> Self {
+        Self { unit, ..self }
+    }
+
+    /// Parses `flag`'s value `v` and checks it against the type width and
+    /// the bounds.
+    fn parse(&self, flag: &str, v: &str) -> Result<u64, String> {
+        let n = v
+            .parse::<u64>()
+            .ok()
+            .filter(|&n| n <= u64::MAX >> (64 - self.bits))
+            .ok_or_else(|| format!("invalid {} `{v}`", self.noun))?;
+        if (self.min..=self.max).contains(&n) {
+            return Ok(n);
+        }
+        let bound = |b: u64| match self.unit {
+            "" => b.to_string(),
+            unit => format!("{b} {unit}"),
+        };
+        Err(if self.within {
+            let (min, max) = (self.min, bound(self.max));
+            format!("{flag} must be within {min}..={max} (got {n})")
+        } else if n < self.min {
+            format!("{flag} must be at least {}", bound(self.min))
+        } else {
+            format!("{flag} must be at most {} (got {n})", bound(self.max))
+        })
+    }
+}
+
+/// Every flag `repro` accepts. The "only applies to" checks run in this
+/// order.
+const FLAGS: [Flag; 30] = [
+    Flag::switch("--quick", ANY),
+    Flag::text("--json", "a path", ANY),
+    Flag::text("--metrics", "a path", ANY),
+    Flag::int(
+        "--threads",
+        Int::new("a count", "thread count", usize::BITS).min(1),
+        ANY,
+    ),
+    Flag::switch("--trace", ANY),
+    Flag::int(
+        "--timeout-secs",
+        Int::new("a count", "timeout", u64::BITS).min(1),
+        ANY,
+    ),
+    Flag::text(
+        "--model-cache",
+        "a directory",
+        &["batch", "all", "cache", "artifact", "serve"],
+    ),
+    Flag::text("--baseline", "a path", &["perf-check"]),
+    Flag::checked(
+        "--tolerance",
+        "a ratio",
+        |v| parse_tolerance(v).map(drop),
+        &["perf-check"],
+    ),
+    Flag::text("--golden", "a path", &["stats-check"]),
+    Flag::switch("--update", &["stats-check"]),
+    Flag::int(
+        "--batch",
+        Int::new("a count", "batch size", usize::BITS).min(1),
+        &["batch", "all"],
+    ),
+    Flag::int(
+        "--cases",
+        Int::new("a count", "case count", u64::BITS),
+        DIFFCHECK,
+    ),
+    Flag::switch("--shrink", DIFFCHECK),
+    Flag::text("--repro-dir", "a path", DIFFCHECK),
+    Flag::int(
+        "--seed",
+        Int::new("a value", "seed", u64::BITS),
+        &["diffcheck", "chaos", "serve"],
+    ),
+    Flag::int(
+        "--campaign",
+        Int::new("a count", "campaign size", u64::BITS).min(1),
+        &["chaos"],
+    ),
+    Flag::int(
+        "--clients",
+        Int::new("a count", "client count", usize::BITS)
+            .min(1)
+            .max(MAX_SERVE_COUNT),
+        SERVE,
+    ),
+    Flag::int(
+        "--requests",
+        Int::new("a count", "request count", usize::BITS),
+        SERVE,
+    ),
+    Flag::int(
+        "--lambda",
+        Int::new("a rate", "arrival rate", u64::BITS)
+            .min(1)
+            .unit("request per megatick"),
+        SERVE,
+    ),
+    Flag::text("--mix", "a spec like `AlexNet=3,GoogLeNet=1`", SERVE),
+    Flag::int(
+        "--max-batch",
+        Int::new("a count", "batch bound", usize::BITS)
+            .min(1)
+            .max(MAX_SERVE_COUNT),
+        SERVE,
+    ),
+    Flag::int(
+        "--max-wait",
+        Int::new("a tick count", "wait bound", u64::BITS),
+        SERVE,
+    ),
+    Flag::int(
+        "--queue-cap",
+        Int::new("a count", "queue capacity", usize::BITS).min(1),
+        SERVE,
+    ),
+    Flag::int(
+        "--fleet-cores",
+        Int::new("a count", "core count", usize::BITS).min(1),
+        SERVE,
+    ),
+    Flag::int(
+        "--deadline",
+        Int::new("a tick count", "deadline", u64::BITS)
+            .min(1)
+            .unit("microtick"),
+        SERVE,
+    ),
+    Flag::checked(
+        "--slo-class",
+        "a spec like `interactive,batch,best-effort`",
+        |v| serve_cli::parse_classes(v).map(drop),
+        SERVE,
+    ),
+    Flag::int(
+        "--brownout",
+        Int::new("a permille value", "brownout permille", u16::BITS)
+            .within(1, 1000)
+            .unit("permille"),
+        SERVE,
+    ),
+    Flag::int(
+        "--retry-budget",
+        Int::new("a count", "retry budget", u32::BITS)
+            .max(16)
+            .unit("retries per request"),
+        SERVE,
+    ),
+    Flag::switch("--chaos", SERVE),
+];
+
+/// A given flag's checked value.
+enum Value {
+    On,
+    Text(String),
+    Int(u64),
+}
+
+/// Parsed command line: the subcommand and the checked value of every
+/// flag given (the last one wins when a flag repeats).
 struct Cli {
     which: String,
     /// Second positional of the two-word subcommands (`cache <sub>`,
     /// `artifact <sub>`).
     sub: Option<String>,
-    quick: bool,
-    json_path: Option<String>,
-    metrics_path: Option<String>,
-    golden_path: Option<String>,
-    update_golden: bool,
-    trace: bool,
-    threads: Option<usize>,
-    batch: usize,
-    model_cache: Option<String>,
-    baseline: Option<String>,
-    tolerance: f64,
-    cases: u64,
-    diff_seed: u64,
-    shrink: bool,
-    repro_dir: Option<String>,
-    campaign: u64,
-    timeout_secs: Option<u64>,
-    /// `repro serve` parameters (the `--seed` flag is shared with
-    /// diffcheck/chaos; serve defaults to the suite seed when unset).
-    serve: bench::serve_cli::ServeArgs,
+    values: BTreeMap<&'static str, Value>,
 }
 
-/// Parses arguments; option values (`--json`, `--metrics`, `--golden`,
-/// `--threads`) are consumed and can never be mistaken for the experiment
-/// name.
+impl Cli {
+    /// Whether `flag` was given.
+    fn on(&self, flag: &str) -> bool {
+        self.values.contains_key(flag)
+    }
+
+    /// A text flag's value.
+    fn text(&self, flag: &str) -> Option<&str> {
+        match self.values.get(flag) {
+            Some(Value::Text(v)) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// An integer flag's value; its row's type width makes the conversion
+    /// lossless.
+    fn int<T: TryFrom<u64>>(&self, flag: &str) -> Option<T> {
+        match self.values.get(flag) {
+            Some(Value::Int(n)) => T::try_from(*n).ok(),
+            _ => None,
+        }
+    }
+
+    /// The `serve` parameters: the given flags over the defaults (`--seed`
+    /// is shared with diffcheck/chaos; serve defaults to the suite seed).
+    fn serve_args(&self) -> Result<ServeArgs, String> {
+        let d = ServeArgs::default();
+        Ok(ServeArgs {
+            seed: self.int("--seed").unwrap_or(d.seed),
+            clients: self.int("--clients").unwrap_or(d.clients),
+            requests: self.int("--requests").unwrap_or(d.requests),
+            lambda: self.int("--lambda").unwrap_or(d.lambda),
+            mix: self.text("--mix").map(str::to_string),
+            max_batch: self.int("--max-batch").unwrap_or(d.max_batch),
+            max_wait: self.int("--max-wait").unwrap_or(d.max_wait),
+            queue_cap: self.int("--queue-cap").unwrap_or(d.queue_cap),
+            fleet_cores: self.int("--fleet-cores").unwrap_or(d.fleet_cores),
+            deadline: self.int("--deadline"),
+            slo_classes: self
+                .text("--slo-class")
+                .map(serve_cli::parse_classes)
+                .transpose()?,
+            brownout: self.int("--brownout").unwrap_or(d.brownout),
+            retry_budget: self.int("--retry-budget").unwrap_or(d.retry_budget),
+            chaos: self.on("--chaos"),
+            model_cache: self.text("--model-cache").map(Into::into),
+            quick: self.on("--quick"),
+        })
+    }
+}
+
+/// Parses a `--tolerance` ratio. NaN must fail too, so it compares in the
+/// rejecting direction.
+fn parse_tolerance(v: &str) -> Result<f64, String> {
+    let x: f64 = v.parse().map_err(|_| format!("invalid tolerance `{v}`"))?;
+    if x < 1.0 || x.is_nan() {
+        return Err("--tolerance must be at least 1.0".to_string());
+    }
+    Ok(x)
+}
+
+/// `` `a`, `b` or `c` ``.
+fn one_of(names: &[&str]) -> String {
+    let quoted: Vec<String> = names.iter().map(|n| format!("`{n}`")).collect();
+    match quoted.split_last() {
+        Some((last, rest)) if !rest.is_empty() => format!("{} or {last}", rest.join(", ")),
+        _ => quoted.concat(),
+    }
+}
+
+/// Parses arguments against [`FLAGS`]. A flag's value is the argument
+/// after it and never starts with `--`, so neither an experiment name nor
+/// another flag is mistaken for one.
 fn parse_args(args: &[String]) -> Result<Cli, String> {
-    let mut quick = false;
-    let mut json_path = None;
-    let mut metrics_path = None;
-    let mut golden_path = None;
-    let mut update_golden = false;
-    let mut trace = false;
-    let mut threads = None;
-    let mut batch = None;
-    let mut cases = None;
-    let mut diff_seed = None;
-    let mut shrink = false;
-    let mut repro_dir = None;
-    let mut campaign = None;
-    let mut timeout_secs = None;
-    let mut model_cache = None;
-    let mut baseline = None;
-    let mut tolerance = None;
-    let mut clients = None;
-    let mut requests = None;
-    let mut lambda = None;
-    let mut mix = None;
-    let mut max_batch = None;
-    let mut max_wait = None;
-    let mut queue_cap = None;
-    let mut fleet_cores = None;
-    let mut deadline = None;
-    let mut slo_class = None;
-    let mut brownout = None;
-    let mut retry_budget = None;
-    let mut chaos_load = false;
+    let mut values = BTreeMap::new();
     let mut positionals: Vec<String> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--update" => update_golden = true,
-            "--trace" => trace = true,
-            "--json" => {
-                json_path = Some(
-                    it.next()
-                        .ok_or_else(|| "--json requires a path".to_string())?
-                        .clone(),
-                );
-            }
-            "--metrics" => {
-                metrics_path = Some(
-                    it.next()
-                        .ok_or_else(|| "--metrics requires a path".to_string())?
-                        .clone(),
-                );
-            }
-            "--golden" => {
-                golden_path = Some(
-                    it.next()
-                        .ok_or_else(|| "--golden requires a path".to_string())?
-                        .clone(),
-                );
-            }
-            "--threads" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--threads requires a count".to_string())?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("invalid thread count `{v}`"))?;
-                if n == 0 {
-                    return Err("--threads must be at least 1".to_string());
-                }
-                threads = Some(n);
-            }
-            "--batch" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--batch requires a count".to_string())?;
-                let n: usize = v.parse().map_err(|_| format!("invalid batch size `{v}`"))?;
-                if n == 0 {
-                    return Err("--batch must be at least 1".to_string());
-                }
-                batch = Some(n);
-            }
-            "--shrink" => shrink = true,
-            "--cases" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--cases requires a count".to_string())?;
-                let n: u64 = v.parse().map_err(|_| format!("invalid case count `{v}`"))?;
-                cases = Some(n);
-            }
-            "--seed" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--seed requires a value".to_string())?;
-                let n: u64 = v.parse().map_err(|_| format!("invalid seed `{v}`"))?;
-                diff_seed = Some(n);
-            }
-            "--repro-dir" => {
-                repro_dir = Some(
-                    it.next()
-                        .ok_or_else(|| "--repro-dir requires a path".to_string())?
-                        .clone(),
-                );
-            }
-            "--campaign" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--campaign requires a count".to_string())?;
-                let n: u64 = v
-                    .parse()
-                    .map_err(|_| format!("invalid campaign size `{v}`"))?;
-                if n == 0 {
-                    return Err("--campaign must be at least 1".to_string());
-                }
-                campaign = Some(n);
-            }
-            "--timeout-secs" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--timeout-secs requires a count".to_string())?;
-                let n: u64 = v.parse().map_err(|_| format!("invalid timeout `{v}`"))?;
-                if n == 0 {
-                    return Err("--timeout-secs must be at least 1".to_string());
-                }
-                timeout_secs = Some(n);
-            }
-            "--model-cache" => {
-                model_cache = Some(
-                    it.next()
-                        .ok_or_else(|| "--model-cache requires a directory".to_string())?
-                        .clone(),
-                );
-            }
-            "--clients" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--clients requires a count".to_string())?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("invalid client count `{v}`"))?;
-                if n == 0 {
-                    return Err("--clients must be at least 1".to_string());
-                }
-                if n > MAX_SERVE_COUNT {
-                    return Err(format!(
-                        "--clients must be at most {MAX_SERVE_COUNT} (got {n})"
-                    ));
-                }
-                clients = Some(n);
-            }
-            "--requests" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--requests requires a count".to_string())?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("invalid request count `{v}`"))?;
-                requests = Some(n);
-            }
-            "--lambda" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--lambda requires a rate".to_string())?;
-                let n: u64 = v
-                    .parse()
-                    .map_err(|_| format!("invalid arrival rate `{v}`"))?;
-                if n == 0 {
-                    return Err("--lambda must be at least 1 request per megatick".to_string());
-                }
-                lambda = Some(n);
-            }
-            "--mix" => {
-                mix = Some(
-                    it.next()
-                        .ok_or_else(|| {
-                            "--mix requires a spec like `AlexNet=3,GoogLeNet=1`".to_string()
-                        })?
-                        .clone(),
-                );
-            }
-            "--max-batch" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--max-batch requires a count".to_string())?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("invalid batch bound `{v}`"))?;
-                if n == 0 {
-                    return Err("--max-batch must be at least 1".to_string());
-                }
-                if n > MAX_SERVE_COUNT {
-                    return Err(format!(
-                        "--max-batch must be at most {MAX_SERVE_COUNT} (got {n})"
-                    ));
-                }
-                max_batch = Some(n);
-            }
-            "--max-wait" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--max-wait requires a tick count".to_string())?;
-                let n: u64 = v.parse().map_err(|_| format!("invalid wait bound `{v}`"))?;
-                max_wait = Some(n);
-            }
-            "--queue-cap" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--queue-cap requires a count".to_string())?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("invalid queue capacity `{v}`"))?;
-                if n == 0 {
-                    return Err("--queue-cap must be at least 1".to_string());
-                }
-                queue_cap = Some(n);
-            }
-            "--fleet-cores" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--fleet-cores requires a count".to_string())?;
-                let n: usize = v.parse().map_err(|_| format!("invalid core count `{v}`"))?;
-                if n == 0 {
-                    return Err("--fleet-cores must be at least 1".to_string());
-                }
-                fleet_cores = Some(n);
-            }
-            "--deadline" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--deadline requires a tick count".to_string())?;
-                let n: u64 = v.parse().map_err(|_| format!("invalid deadline `{v}`"))?;
-                if n == 0 {
-                    return Err("--deadline must be at least 1 microtick".to_string());
-                }
-                deadline = Some(n);
-            }
-            "--slo-class" => {
-                let v = it.next().ok_or_else(|| {
-                    "--slo-class requires a spec like `interactive,batch,best-effort`".to_string()
-                })?;
-                slo_class = Some(bench::serve_cli::parse_classes(v)?);
-            }
-            "--brownout" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--brownout requires a permille value".to_string())?;
-                let n: u16 = v
-                    .parse()
-                    .map_err(|_| format!("invalid brownout permille `{v}`"))?;
-                if n == 0 || n > 1000 {
-                    return Err(format!(
-                        "--brownout must be within 1..=1000 permille (got {n})"
-                    ));
-                }
-                brownout = Some(n);
-            }
-            "--retry-budget" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--retry-budget requires a count".to_string())?;
-                let n: u32 = v
-                    .parse()
-                    .map_err(|_| format!("invalid retry budget `{v}`"))?;
-                if n > 16 {
-                    return Err(format!(
-                        "--retry-budget must be at most 16 retries per request (got {n})"
-                    ));
-                }
-                retry_budget = Some(n);
-            }
-            "--chaos" => chaos_load = true,
-            "--baseline" => {
-                baseline = Some(
-                    it.next()
-                        .ok_or_else(|| "--baseline requires a path".to_string())?
-                        .clone(),
-                );
-            }
-            "--tolerance" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--tolerance requires a ratio".to_string())?;
-                let x: f64 = v.parse().map_err(|_| format!("invalid tolerance `{v}`"))?;
-                // NaN must fail too, so compare in the rejecting direction.
-                if x < 1.0 || x.is_nan() {
-                    return Err("--tolerance must be at least 1.0".to_string());
-                }
-                tolerance = Some(x);
-            }
-            other if other.starts_with("--") => {
-                return Err(format!("unknown option `{other}`"));
-            }
-            other => positionals.push(other.to_string()),
+        if !arg.starts_with("--") {
+            positionals.push(arg.clone());
+            continue;
         }
+        let flag = FLAGS
+            .iter()
+            .find(|f| f.name == arg)
+            .ok_or_else(|| format!("unknown option `{arg}`"))?;
+        let mut value_of = |what: &str| {
+            it.next()
+                .filter(|v| !v.starts_with("--"))
+                .ok_or_else(|| format!("{arg} requires {what}"))
+        };
+        let value = match &flag.kind {
+            Kind::Switch => Value::On,
+            Kind::Text { what, check } => {
+                let v = value_of(what)?;
+                check(v)?;
+                Value::Text(v.clone())
+            }
+            Kind::Int(int) => Value::Int(int.parse(arg, value_of(int.what)?)?),
+        };
+        values.insert(flag.name, value);
     }
     // `repro --batch 8` alone means "run the batch experiment".
     let (which, sub) = match positionals.len() {
-        0 if batch.is_some() => ("batch".to_string(), None),
+        0 if values.contains_key("--batch") => ("batch".to_string(), None),
         0 => return Err("no experiment given".to_string()),
         1 => (positionals.remove(0), None),
         2 if positionals[0] == "cache" || positionals[0] == "artifact" => {
@@ -472,178 +539,117 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         },
         _ => {}
     }
-    if (which == "cache" || which == "artifact") && model_cache.is_none() {
-        return Err(format!("{which} requires --model-cache <dir>"));
-    }
-    if model_cache.is_some()
-        && !matches!(
-            which.as_str(),
-            "batch" | "all" | "cache" | "artifact" | "serve"
-        )
-    {
-        return Err(
-            "--model-cache only applies to `batch`, `all`, `cache`, `artifact` or `serve`"
-                .to_string(),
-        );
-    }
-    if which == "perf-check" && baseline.is_none() {
-        return Err("perf-check requires --baseline <path>".to_string());
-    }
-    if baseline.is_some() && which != "perf-check" {
-        return Err("--baseline only applies to `perf-check`".to_string());
-    }
-    if tolerance.is_some() && which != "perf-check" {
-        return Err("--tolerance only applies to `perf-check`".to_string());
-    }
-    if golden_path.is_some() && which != "stats-check" {
-        return Err("--golden only applies to `stats-check`".to_string());
-    }
-    if update_golden && which != "stats-check" {
-        return Err("--update only applies to `stats-check`".to_string());
-    }
-    if which == "stats-check" && golden_path.is_none() {
-        return Err("stats-check requires --golden <path>".to_string());
-    }
-    if batch.is_some() && which != "batch" && which != "all" {
-        return Err("--batch only applies to `batch` or `all`".to_string());
-    }
-    if which != "diffcheck" {
-        if cases.is_some() {
-            return Err("--cases only applies to `diffcheck`".to_string());
-        }
-        if shrink {
-            return Err("--shrink only applies to `diffcheck`".to_string());
-        }
-        if repro_dir.is_some() {
-            return Err("--repro-dir only applies to `diffcheck`".to_string());
+    for (cmd, flag, arg) in [
+        ("cache", "--model-cache", "<dir>"),
+        ("artifact", "--model-cache", "<dir>"),
+        ("perf-check", "--baseline", "<path>"),
+        ("stats-check", "--golden", "<path>"),
+    ] {
+        if which == cmd && !values.contains_key(flag) {
+            return Err(format!("{which} requires {flag} {arg}"));
         }
     }
-    if diff_seed.is_some() && !matches!(which.as_str(), "diffcheck" | "chaos" | "serve") {
-        return Err("--seed only applies to `diffcheck`, `chaos` or `serve`".to_string());
-    }
-    if campaign.is_some() && which != "chaos" {
-        return Err("--campaign only applies to `chaos`".to_string());
-    }
-    if which != "serve" {
-        let serve_only: [(&str, bool); 13] = [
-            ("--clients", clients.is_some()),
-            ("--requests", requests.is_some()),
-            ("--lambda", lambda.is_some()),
-            ("--mix", mix.is_some()),
-            ("--max-batch", max_batch.is_some()),
-            ("--max-wait", max_wait.is_some()),
-            ("--queue-cap", queue_cap.is_some()),
-            ("--fleet-cores", fleet_cores.is_some()),
-            ("--deadline", deadline.is_some()),
-            ("--slo-class", slo_class.is_some()),
-            ("--brownout", brownout.is_some()),
-            ("--retry-budget", retry_budget.is_some()),
-            ("--chaos", chaos_load),
-        ];
-        if let Some((flag, _)) = serve_only.iter().find(|(_, set)| *set) {
-            return Err(format!("{flag} only applies to `serve`"));
+    for flag in &FLAGS {
+        if values.contains_key(flag.name)
+            && !flag.only.is_empty()
+            && !flag.only.contains(&which.as_str())
+        {
+            return Err(format!(
+                "{} only applies to {}",
+                flag.name,
+                one_of(flag.only)
+            ));
         }
     }
-    let serve_defaults = bench::serve_cli::ServeArgs::default();
-    let serve = bench::serve_cli::ServeArgs {
-        seed: diff_seed.unwrap_or(serve_defaults.seed),
-        clients: clients.unwrap_or(serve_defaults.clients),
-        requests: requests.unwrap_or(serve_defaults.requests),
-        lambda: lambda.unwrap_or(serve_defaults.lambda),
-        mix,
-        max_batch: max_batch.unwrap_or(serve_defaults.max_batch),
-        max_wait: max_wait.unwrap_or(serve_defaults.max_wait),
-        queue_cap: queue_cap.unwrap_or(serve_defaults.queue_cap),
-        fleet_cores: fleet_cores.unwrap_or(serve_defaults.fleet_cores),
-        deadline,
-        slo_classes: slo_class,
-        brownout: brownout.unwrap_or(serve_defaults.brownout),
-        retry_budget: retry_budget.unwrap_or(serve_defaults.retry_budget),
-        chaos: chaos_load,
-        model_cache: (which == "serve")
-            .then(|| model_cache.clone().map(std::path::PathBuf::from))
-            .flatten(),
-        quick,
-    };
+    let cli = Cli { which, sub, values };
     // Cross-flag conflicts (e.g. --brownout without a best-effort tenant)
     // fail at parse time with the flag named, not mid-run.
-    if which == "serve" {
-        bench::serve_cli::validate(&serve)?;
+    if cli.which == "serve" {
+        serve_cli::validate(&cli.serve_args()?)?;
     }
-    Ok(Cli {
-        which,
-        sub,
-        quick,
-        json_path,
-        metrics_path,
-        golden_path,
-        update_golden,
-        trace,
-        threads,
-        batch: batch.unwrap_or(1),
-        model_cache,
-        baseline,
-        tolerance: tolerance.unwrap_or(bench::perf_gate::DEFAULT_TOLERANCE),
-        cases: cases.unwrap_or(500),
-        diff_seed: diff_seed.unwrap_or(1),
-        shrink,
-        repro_dir,
-        campaign: campaign.unwrap_or(25),
-        timeout_secs,
-        serve,
-    })
+    Ok(cli)
 }
 
-/// An opt-in hang detector (`--timeout-secs`): a polling thread that
-/// aborts the whole process when the currently-registered step has been
-/// running longer than the budget, printing a diagnostic that names it.
-/// Abort (rather than unwinding) is deliberate — the hung step is by
-/// definition not going to return and cannot be cancelled cooperatively.
-struct Watchdog {
-    current: Arc<Mutex<Option<(String, Instant)>>>,
+/// The step under the `--timeout-secs` watchdog and when it started.
+static WATCHED: Mutex<Option<(String, Instant)>> = Mutex::new(None);
+
+/// Names the step under watch (`None` between steps, where nothing can
+/// hang); its clock starts now.
+fn watch(step: Option<&str>) {
+    *WATCHED.lock().unwrap_or_else(|e| e.into_inner()) =
+        step.map(|name| (name.to_string(), Instant::now()));
 }
 
-impl Watchdog {
-    fn arm(timeout: Duration) -> Self {
-        let current: Arc<Mutex<Option<(String, Instant)>>> = Arc::new(Mutex::new(None));
-        let watched = Arc::clone(&current);
-        std::thread::spawn(move || loop {
-            std::thread::sleep(Duration::from_millis(50));
-            let hung = {
-                let guard = watched.lock().unwrap_or_else(|e| e.into_inner());
-                guard.as_ref().and_then(|(name, since)| {
-                    (since.elapsed() > timeout).then(|| (name.clone(), since.elapsed()))
-                })
-            };
-            if let Some((name, elapsed)) = hung {
-                eprintln!(
-                    "[watchdog] step `{name}` exceeded --timeout-secs {} (running {:.1}s); aborting",
-                    timeout.as_secs(),
-                    elapsed.as_secs_f64()
-                );
-                std::process::exit(124);
-            }
-        });
-        Self { current }
-    }
-
-    /// Registers `name` as the step under watch; its clock starts now.
-    fn enter(&self, name: &str) {
-        let mut guard = self.current.lock().unwrap_or_else(|e| e.into_inner());
-        *guard = Some((name.to_string(), Instant::now()));
-    }
-
-    /// Clears the watch (between steps nothing can hang).
-    fn clear(&self) {
-        let mut guard = self.current.lock().unwrap_or_else(|e| e.into_inner());
-        *guard = None;
-    }
+/// Arms the opt-in hang detector (`--timeout-secs`): a polling thread that
+/// aborts the whole process when the watched step has been running longer
+/// than `timeout`, printing a diagnostic that names it. Abort (rather than
+/// unwinding) is deliberate — the hung step is by definition not going to
+/// return and cannot be cancelled cooperatively.
+fn arm_watchdog(timeout: Duration) {
+    std::thread::spawn(move || loop {
+        std::thread::sleep(Duration::from_millis(50));
+        let hung = WATCHED
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .as_ref()
+            .and_then(|(name, since)| {
+                (since.elapsed() > timeout).then(|| (name.clone(), since.elapsed()))
+            });
+        if let Some((name, elapsed)) = hung {
+            eprintln!(
+                "[watchdog] step `{name}` exceeded --timeout-secs {} (running {:.1}s); aborting",
+                timeout.as_secs(),
+                elapsed.as_secs_f64()
+            );
+            std::process::exit(124);
+        }
+    });
 }
 
-/// Registers `name` on the watchdog if one is armed.
-fn watch(wd: &Option<Watchdog>, name: &str) {
-    if let Some(wd) = wd {
-        wd.enter(name);
+/// Runs one step under the watchdog as `watched` and, if it succeeds,
+/// reports its wall time as `[repro] <label>: N.NNs` — on stderr only, so
+/// stdout stays byte-identical across thread counts and machines.
+fn step<T>(
+    label: &str,
+    watched: &str,
+    run: impl FnOnce() -> Result<T, String>,
+) -> Result<T, String> {
+    let start = Instant::now();
+    watch(Some(watched));
+    let out = run()?;
+    watch(None);
+    eprintln!("[repro] {label}: {:.2}s", start.elapsed().as_secs_f64());
+    Ok(out)
+}
+
+/// Writes `text` to `path` and reports it on stderr.
+fn write_text(path: &str, what: &str, text: &str) -> Result<(), String> {
+    std::fs::write(path, text).map_err(|e| format!("failed to write {path}: {e}"))?;
+    eprintln!("wrote {what} to {path}");
+    Ok(())
+}
+
+/// Writes `value` as pretty JSON to `path`, if one is given.
+fn write_json<T: serde::Serialize>(
+    path: Option<&str>,
+    what: &str,
+    value: &T,
+) -> Result<(), String> {
+    let Some(path) = path else { return Ok(()) };
+    let text = serde_json::to_string_pretty(value)
+        .map_err(|e| format!("serializing {what} for {path}: {e}"))?;
+    write_text(path, what, &text)
+}
+
+/// Writes the counter snapshot to the `--metrics` path, if one is given.
+fn write_metrics(cli: &Cli) -> Result<(), String> {
+    match cli.text("--metrics") {
+        Some(path) => write_text(
+            path,
+            "metrics",
+            &stats_gate::metrics_json(&obs::snapshot())?,
+        ),
+        None => Ok(()),
     }
 }
 
@@ -654,15 +660,15 @@ fn rows_json<T: serde::Serialize>(name: &str, rows: &T) -> Result<serde_json::Va
 }
 
 /// Runs one experiment by canonical name, emitting its rendered text and
-/// JSON rows. Returns `Ok(false)` for an unknown name.
+/// JSON rows.
 fn run_one(
     which: &str,
     quick: bool,
     batch: usize,
-    model_cache: Option<&std::path::Path>,
+    model_cache: Option<&Path>,
     cache: &mut StatsCache,
     emit: &mut dyn FnMut(&str, String, serde_json::Value),
-) -> Result<bool, String> {
+) -> Result<(), String> {
     match which {
         "fig1" => {
             let rows = fig01::run(quick);
@@ -747,32 +753,9 @@ fn run_one(
                 serde_json::json!({"tile_size": tiles, "fifo_depth": fifos, "balance": bals}),
             );
         }
-        _ => return Ok(false),
+        _ => return Err(format!("unknown experiment `{which}`\n{USAGE}")),
     }
-    Ok(true)
-}
-
-/// Runs one experiment and reports its wall time on stderr (stderr only:
-/// stdout stays byte-identical across thread counts and machines).
-fn run_timed(
-    which: &str,
-    quick: bool,
-    batch: usize,
-    model_cache: Option<&std::path::Path>,
-    cache: &mut StatsCache,
-    watchdog: &Option<Watchdog>,
-    emit: &mut dyn FnMut(&str, String, serde_json::Value),
-) -> Result<bool, String> {
-    let start = Instant::now();
-    watch(watchdog, which);
-    let known = run_one(which, quick, batch, model_cache, cache, emit)?;
-    if let Some(wd) = watchdog {
-        wd.clear();
-    }
-    if known {
-        eprintln!("[repro] {which}: {:.2}s", start.elapsed().as_secs_f64());
-    }
-    Ok(known)
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -784,7 +767,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Some(n) = cli.threads {
+    if let Some(n) = cli.int::<usize>("--threads") {
         if let Err(e) = rayon::ThreadPoolBuilder::new()
             .num_threads(n)
             .build_global()
@@ -793,189 +776,116 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    obs::set_tracing(cli.trace);
+    obs::set_tracing(cli.on("--trace"));
     // Counters stay a single disabled-branch check unless this run actually
     // consumes them.
-    if cli.metrics_path.is_some() || cli.which == "stats-check" || cli.which == "diffcheck" {
+    if cli.on("--metrics") || cli.which == "stats-check" || cli.which == "diffcheck" {
         obs::enable(true);
     }
-    let watchdog = cli
-        .timeout_secs
-        .map(|s| Watchdog::arm(Duration::from_secs(s)));
+    if let Some(secs) = cli.int("--timeout-secs") {
+        arm_watchdog(Duration::from_secs(secs));
+    }
+    let outcome = match cli.which.as_str() {
+        "stats-check" => stats_check(&cli),
+        "diffcheck" => diffcheck_cmd(&cli),
+        "chaos" => chaos_cmd(&cli),
+        "bench" => bench_cmd(&cli),
+        "cache" => cache_cmd(&cli),
+        "artifact" => artifact_cmd(&cli),
+        "perf-check" => perf_check_cmd(&cli),
+        "serve" => serve_cmd(&cli),
+        _ => experiments_cmd(&cli),
+    };
+    match outcome {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
+        }
+    }
+}
 
+/// Runs one experiment, or every one for `all`: prints each table, then
+/// writes the `--json` rows and the `--metrics` snapshot.
+fn experiments_cmd(cli: &Cli) -> Result<bool, String> {
+    let quick = cli.on("--quick");
+    let batch = cli.int("--batch").unwrap_or(1);
+    let model_cache = cli.text("--model-cache").map(Path::new);
     let mut cache = StatsCache::new();
     let mut json = serde_json::Map::new();
-
-    if cli.which == "stats-check" {
-        return stats_check(&cli, &mut cache, &watchdog);
-    }
-    if cli.which == "diffcheck" {
-        return diffcheck_cmd(&cli, &watchdog);
-    }
-    if cli.which == "chaos" {
-        return chaos_cmd(&cli, &watchdog);
-    }
-    if cli.which == "bench" {
-        return bench_cmd(&cli, &watchdog);
-    }
-    if cli.which == "cache" {
-        return cache_cmd(&cli);
-    }
-    if cli.which == "artifact" {
-        return artifact_cmd(&cli, &watchdog);
-    }
-    if cli.which == "perf-check" {
-        return perf_check_cmd(&cli, &watchdog);
-    }
-    if cli.which == "serve" {
-        return serve_cmd(&cli, &watchdog);
-    }
-
-    let model_cache = cli.model_cache.as_ref().map(std::path::Path::new);
     let mut emit = |name: &str, text: String, value: serde_json::Value| {
         println!("{text}");
         json.insert(name.to_string(), value);
     };
-
-    let start = Instant::now();
+    let mut run = |which: &str| {
+        step(which, which, || {
+            run_one(which, quick, batch, model_cache, &mut cache, &mut emit)
+        })
+    };
     if cli.which == "all" {
+        let start = Instant::now();
         for which in ALL {
-            if let Err(e) = run_timed(
-                which,
-                cli.quick,
-                cli.batch,
-                model_cache,
-                &mut cache,
-                &watchdog,
-                &mut emit,
-            ) {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
+            run(which)?;
         }
         eprintln!("[repro] total: {:.2}s", start.elapsed().as_secs_f64());
     } else {
-        match run_timed(
-            &cli.which,
-            cli.quick,
-            cli.batch,
-            model_cache,
-            &mut cache,
-            &watchdog,
-            &mut emit,
-        ) {
-            Ok(true) => {}
-            Ok(false) => {
-                eprintln!("unknown experiment `{}`\n{USAGE}", cli.which);
-                return ExitCode::FAILURE;
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        run(&cli.which)?;
     }
-
-    if let Some(path) = cli.json_path {
-        let text = match serde_json::to_string_pretty(&json) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("serializing JSON results for {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match std::fs::write(&path, text) {
-            Ok(()) => eprintln!("wrote JSON results to {path}"),
-            Err(e) => {
-                eprintln!("failed to write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Some(path) = cli.metrics_path {
-        let text = match stats_gate::metrics_json(&obs::snapshot()) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match std::fs::write(&path, text) {
-            Ok(()) => eprintln!("wrote metrics to {path}"),
-            Err(e) => {
-                eprintln!("failed to write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
+    write_json(cli.text("--json"), "JSON results", &json)?;
+    write_metrics(cli)?;
+    Ok(true)
 }
 
 /// The `diffcheck` subcommand: drive the differential oracle over a seeded
 /// case budget, dumping each divergence as a JSON repro and failing the
 /// run if any case diverges.
-fn diffcheck_cmd(cli: &Cli, watchdog: &Option<Watchdog>) -> ExitCode {
-    use bench::diffcheck;
-    let repro_dir = cli.repro_dir.as_deref().unwrap_or("diffcheck_repros");
+fn diffcheck_cmd(cli: &Cli) -> Result<bool, String> {
+    let cases = cli.int("--cases").unwrap_or(500);
+    let seed = cli.int("--seed").unwrap_or(1);
     // An explicitly-requested repro dir is probed for writability *before*
     // the case budget runs: a multi-minute sweep that cannot persist its
     // repros is wasted work.
-    if cli.repro_dir.is_some() {
-        if let Err(e) = probe_writable_dir(repro_dir) {
-            eprintln!("repro dir {repro_dir} is not writable: {e}");
-            return ExitCode::FAILURE;
-        }
+    if let Some(dir) = cli.text("--repro-dir") {
+        probe_writable_dir(dir).map_err(|e| format!("repro dir {dir} is not writable: {e}"))?;
     }
-    let start = Instant::now();
-    let mut divergences = Vec::new();
-    for index in 0..cli.cases {
-        watch(watchdog, &format!("diffcheck case {index}"));
-        if index > 0 && index % 100 == 0 {
-            eprintln!(
-                "[diffcheck] {index}/{} cases, {} divergence(s), {:.2}s",
-                cli.cases,
-                divergences.len(),
-                start.elapsed().as_secs_f64()
-            );
-        }
-        if let Some(d) = diffcheck::check_one(cli.diff_seed, index, cli.shrink) {
-            eprintln!("[diffcheck] case {index} DIVERGED: {}", d.failure);
-            divergences.push(d);
-        }
-    }
-    if let Some(wd) = watchdog {
-        wd.clear();
-    }
-    eprintln!("[repro] diffcheck: {:.2}s", start.elapsed().as_secs_f64());
-
-    if !divergences.is_empty() {
-        if let Err(e) = std::fs::create_dir_all(repro_dir) {
-            eprintln!("cannot create repro dir {repro_dir}: {e}");
-            return ExitCode::FAILURE;
-        }
-        for d in &divergences {
-            let path = format!("{repro_dir}/case_{}_{}.json", cli.diff_seed, d.index);
-            match serde_json::to_string_pretty(d) {
-                Ok(text) => match std::fs::write(&path, text) {
-                    Ok(()) => eprintln!("wrote repro to {path}"),
-                    Err(e) => eprintln!("failed to write {path}: {e}"),
-                },
-                Err(e) => eprintln!("serializing repro for {path}: {e}"),
+    let repro_dir = cli.text("--repro-dir").unwrap_or("diffcheck_repros");
+    let divergences = step("diffcheck", "diffcheck", || {
+        let start = Instant::now();
+        let mut divergences = Vec::new();
+        for index in 0..cases {
+            watch(Some(&format!("diffcheck case {index}")));
+            if index > 0 && index % 100 == 0 {
+                eprintln!(
+                    "[diffcheck] {index}/{cases} cases, {} divergence(s), {:.2}s",
+                    divergences.len(),
+                    start.elapsed().as_secs_f64()
+                );
+            }
+            if let Some(d) = bench::diffcheck::check_one(seed, index, cli.on("--shrink")) {
+                eprintln!("[diffcheck] case {index} DIVERGED: {}", d.failure);
+                divergences.push(d);
             }
         }
-        println!(
-            "diffcheck: {} cases, {} divergence(s) (seed {})",
-            cli.cases,
-            divergences.len(),
-            cli.diff_seed
-        );
-        return ExitCode::FAILURE;
+        Ok(divergences)
+    })?;
+    if divergences.is_empty() {
+        println!("diffcheck: {cases} cases, 0 divergences (seed {seed})");
+        return Ok(true);
+    }
+    std::fs::create_dir_all(repro_dir)
+        .map_err(|e| format!("cannot create repro dir {repro_dir}: {e}"))?;
+    for d in &divergences {
+        let path = format!("{repro_dir}/case_{seed}_{}.json", d.index);
+        if let Err(e) = write_json(Some(&path), "repro", d) {
+            eprintln!("{e}");
+        }
     }
     println!(
-        "diffcheck: {} cases, 0 divergences (seed {})",
-        cli.cases, cli.diff_seed
+        "diffcheck: {cases} cases, {} divergence(s) (seed {seed})",
+        divergences.len()
     );
-    ExitCode::SUCCESS
+    Ok(false)
 }
 
 /// The `bench` subcommand: run the self-timed micro and batch suites of
@@ -984,32 +894,13 @@ fn diffcheck_cmd(cli: &Cli, watchdog: &Option<Watchdog>) -> ExitCode {
 /// Deliberately *not* part of `repro all`: wall times are machine-bound, so
 /// they would break the byte-identical-across-thread-counts contract of the
 /// experiment suite.
-fn bench_cmd(cli: &Cli, watchdog: &Option<Watchdog>) -> ExitCode {
-    let start = Instant::now();
-    watch(watchdog, "bench suite");
-    let report = bench::microbench::run(cli.quick);
-    if let Some(wd) = watchdog {
-        wd.clear();
-    }
-    eprintln!("[repro] bench: {:.2}s", start.elapsed().as_secs_f64());
+fn bench_cmd(cli: &Cli) -> Result<bool, String> {
+    let report = step("bench", "bench suite", || {
+        Ok(bench::microbench::run(cli.on("--quick")))
+    })?;
     print!("{}", bench::microbench::render(&report));
-    if let Some(path) = &cli.json_path {
-        let text = match serde_json::to_string_pretty(&report) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("serializing bench report for {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match std::fs::write(path, text) {
-            Ok(()) => eprintln!("wrote bench report to {path}"),
-            Err(e) => {
-                eprintln!("failed to write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
+    write_json(cli.text("--json"), "bench report", &report)?;
+    Ok(true)
 }
 
 /// The `cache` subcommand: inspect (`stats`), empty (`clear`) or
@@ -1017,67 +908,49 @@ fn bench_cmd(cli: &Cli, watchdog: &Option<Watchdog>) -> ExitCode {
 /// strict-loads every artifact — checksums, format version and the
 /// content address are all re-checked — and exits non-zero when any file
 /// fails, naming the file and the rejected section.
-fn cache_cmd(cli: &Cli) -> ExitCode {
-    use ristretto_sim::modelcache::ModelCache;
-    let dir = cli.model_cache.as_deref().unwrap_or_default();
-    let cache = ModelCache::new(dir);
+fn cache_cmd(cli: &Cli) -> Result<bool, String> {
+    let dir = cli.text("--model-cache").unwrap_or_default();
+    let cache = ristretto_sim::modelcache::ModelCache::new(dir);
     match cli.sub.as_deref() {
-        Some("stats") => match cache.stats() {
-            Ok(s) => {
-                println!(
-                    "cache {dir}: {} artifact(s), {} byte(s)",
-                    s.entries, s.bytes
-                );
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("cache stats failed: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        Some("clear") => match cache.clear() {
-            Ok(n) => {
-                println!("cache {dir}: removed {n} artifact(s)");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("cache clear failed: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        Some("verify") => match cache.verify() {
-            Ok(results) => {
-                let mut bad = 0;
-                for (path, verdict) in &results {
-                    match verdict {
-                        Ok(()) => println!("[ok]   {}", path.display()),
-                        Err(e) => {
-                            bad += 1;
-                            println!("[FAIL] {}: {e}", path.display());
-                        }
+        Some("stats") => {
+            let s = cache
+                .stats()
+                .map_err(|e| format!("cache stats failed: {e}"))?;
+            println!(
+                "cache {dir}: {} artifact(s), {} byte(s)",
+                s.entries, s.bytes
+            );
+        }
+        Some("clear") => {
+            let n = cache
+                .clear()
+                .map_err(|e| format!("cache clear failed: {e}"))?;
+            println!("cache {dir}: removed {n} artifact(s)");
+        }
+        Some("verify") => {
+            let results = cache
+                .verify()
+                .map_err(|e| format!("cache verify failed: {e}"))?;
+            let mut bad = 0;
+            for (path, verdict) in &results {
+                match verdict {
+                    Ok(()) => println!("[ok]   {}", path.display()),
+                    Err(e) => {
+                        bad += 1;
+                        println!("[FAIL] {}: {e}", path.display());
                     }
                 }
-                println!(
-                    "cache {dir}: {} artifact(s) verified, {bad} rejected",
-                    results.len()
-                );
-                if bad == 0 {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                }
             }
-            Err(e) => {
-                eprintln!("cache verify failed: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        // Unreachable by construction (parse_args validates the sub).
-        _ => {
-            eprintln!("{USAGE}");
-            ExitCode::FAILURE
+            println!(
+                "cache {dir}: {} artifact(s) verified, {bad} rejected",
+                results.len()
+            );
+            return Ok(bad == 0);
         }
+        // Unreachable by construction (parse_args validates the sub).
+        _ => return Err(USAGE.to_string()),
     }
+    Ok(true)
 }
 
 /// The `artifact` subcommand. `save` compiles the benchmark networks and
@@ -1087,164 +960,102 @@ fn cache_cmd(cli: &Cli) -> ExitCode {
 /// in-memory compile, re-encodes byte-identically, and that a session
 /// over the decoded network is byte-identical to the in-memory session
 /// at 1 and 4 worker threads.
-fn artifact_cmd(cli: &Cli, watchdog: &Option<Watchdog>) -> ExitCode {
+fn artifact_cmd(cli: &Cli) -> Result<bool, String> {
     use ristretto_sim::artifact;
     use ristretto_sim::config::RistrettoConfig;
     use ristretto_sim::engine::{compile, Session};
     use ristretto_sim::modelcache::{CacheKey, ModelCache};
 
-    let dir = cli.model_cache.as_deref().unwrap_or_default();
+    let dir = cli.text("--model-cache").unwrap_or_default();
     let cache = ModelCache::new(dir);
     let cfg = RistrettoConfig::paper_default();
-    let save = cli.sub.as_deref() == Some("save");
-    let start = Instant::now();
-    for (idx, (name, model)) in engine_batch::benchmark_models(cli.quick)
-        .into_iter()
-        .enumerate()
-    {
-        watch(
-            watchdog,
-            &format!("artifact {} {name}", if save { "save" } else { "check" }),
-        );
-        let key = CacheKey::derive(&model, &cfg);
-        let net = match compile(&model, &cfg) {
-            Ok(net) => net,
-            Err(e) => {
-                eprintln!("{name}: compile failed: {e}");
-                return ExitCode::FAILURE;
+    let verb = cli.sub.as_deref().unwrap_or_default();
+    step("artifact", "artifact", || {
+        for (idx, (name, model)) in engine_batch::benchmark_models(cli.on("--quick"))
+            .into_iter()
+            .enumerate()
+        {
+            watch(Some(&format!("artifact {verb} {name}")));
+            let key = CacheKey::derive(&model, &cfg);
+            let net = compile(&model, &cfg).map_err(|e| format!("{name}: compile failed: {e}"))?;
+            if verb == "save" {
+                let bytes = cache
+                    .store(&net, key)
+                    .map_err(|e| format!("{name}: store failed: {e}"))?;
+                println!("saved {name}: {} ({bytes} bytes)", key.file_name());
+                continue;
             }
-        };
-        let path = std::path::Path::new(dir).join(key.file_name());
-        if save {
-            match cache.store(&net, key) {
-                Ok(bytes) => println!("saved {name}: {} ({bytes} bytes)", key.file_name()),
-                Err(e) => {
-                    eprintln!("{name}: store failed: {e}");
-                    return ExitCode::FAILURE;
+            let decoded = cache
+                .load(&Path::new(dir).join(key.file_name()))
+                .map_err(|e| format!("{name}: load failed: {e}"))?;
+            if decoded != *net {
+                return Err(format!(
+                    "{name}: decoded artifact differs from in-memory compile"
+                ));
+            }
+            if artifact::encode(&decoded) != artifact::encode(&net) {
+                return Err(format!("{name}: re-encoded artifact is not byte-identical"));
+            }
+            let (c, h, w) = net.input();
+            let input = engine_batch::benchmark_input(idx, 0, c, h, w);
+            let session_mem = Session::new(net);
+            let session_disk = Session::new(std::sync::Arc::new(decoded));
+            for threads in [1usize, 4] {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .map_err(|e| format!("{name}: pool({threads}): {e}"))?;
+                let session_err = |e| format!("{name}: session at {threads} thread(s): {e}");
+                let mem = pool
+                    .install(|| session_mem.run(&input))
+                    .map_err(session_err)?;
+                let disk = pool
+                    .install(|| session_disk.run(&input))
+                    .map_err(session_err)?;
+                if mem.output != disk.output
+                    || mem.traces.iter().map(|t| t.stats).collect::<Vec<_>>()
+                        != disk.traces.iter().map(|t| t.stats).collect::<Vec<_>>()
+                {
+                    return Err(format!(
+                        "{name}: cache-hit session diverges from in-memory session \
+                         at {threads} thread(s)"
+                    ));
                 }
             }
-            continue;
+            println!(
+                "checked {name}: {} byte-identical at 1 and 4 threads",
+                key.file_name()
+            );
         }
-        let decoded = match cache.load(&path) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("{name}: load failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if decoded != *net {
-            eprintln!("{name}: decoded artifact differs from in-memory compile");
-            return ExitCode::FAILURE;
-        }
-        if artifact::encode(&decoded) != artifact::encode(&net) {
-            eprintln!("{name}: re-encoded artifact is not byte-identical");
-            return ExitCode::FAILURE;
-        }
-        let (c, h, w) = net.input();
-        let input = engine_batch::benchmark_input(idx, 0, c, h, w);
-        let session_mem = Session::new(net);
-        let session_disk = Session::new(std::sync::Arc::new(decoded));
-        for threads in [1usize, 4] {
-            let pool = match rayon::ThreadPoolBuilder::new().num_threads(threads).build() {
-                Ok(p) => p,
-                Err(e) => {
-                    eprintln!("{name}: pool({threads}): {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let mem = pool.install(|| session_mem.run(&input));
-            let disk = pool.install(|| session_disk.run(&input));
-            match (mem, disk) {
-                (Ok(mem), Ok(disk)) => {
-                    if mem.output != disk.output
-                        || mem.traces.iter().map(|t| t.stats).collect::<Vec<_>>()
-                            != disk.traces.iter().map(|t| t.stats).collect::<Vec<_>>()
-                    {
-                        eprintln!(
-                            "{name}: cache-hit session diverges from in-memory session \
-                             at {threads} thread(s)"
-                        );
-                        return ExitCode::FAILURE;
-                    }
-                }
-                (Err(e), _) | (_, Err(e)) => {
-                    eprintln!("{name}: session at {threads} thread(s): {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        println!(
-            "checked {name}: {} byte-identical at 1 and 4 threads",
-            key.file_name()
-        );
-    }
-    if let Some(wd) = watchdog {
-        wd.clear();
-    }
-    eprintln!("[repro] artifact: {:.2}s", start.elapsed().as_secs_f64());
-    ExitCode::SUCCESS
+        Ok(true)
+    })
 }
 
 /// The `perf-check` subcommand: measure the self-timed bench suite and
 /// gate its key series against a checked-in baseline report.
-fn perf_check_cmd(cli: &Cli, watchdog: &Option<Watchdog>) -> ExitCode {
+fn perf_check_cmd(cli: &Cli) -> Result<bool, String> {
     use bench::perf_gate;
-    let baseline_path = match cli.baseline.as_deref() {
-        Some(p) => p,
-        // Unreachable by construction (parse_args requires --baseline).
-        None => {
-            eprintln!("perf-check requires --baseline <path>\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let baseline_path = cli.text("--baseline").unwrap_or_default();
+    let tolerance = cli
+        .text("--tolerance")
+        .map_or(Ok(perf_gate::DEFAULT_TOLERANCE), parse_tolerance)?;
     // Parse the baseline before measuring: a malformed file should fail in
     // milliseconds, not after the bench suite.
-    let baseline: bench::microbench::BenchReport = match std::fs::read_to_string(baseline_path)
+    let baseline: bench::microbench::BenchReport = std::fs::read_to_string(baseline_path)
         .map_err(|e| e.to_string())
         .and_then(|t| serde_json::from_str(&t).map_err(|e| e.to_string()))
-    {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("cannot read baseline {baseline_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let start = Instant::now();
-    watch(watchdog, "perf-check bench suite");
-    let live = bench::microbench::run(cli.quick);
-    if let Some(wd) = watchdog {
-        wd.clear();
-    }
-    eprintln!("[repro] perf-check: {:.2}s", start.elapsed().as_secs_f64());
-    if let Some(path) = &cli.json_path {
-        match serde_json::to_string_pretty(&live) {
-            Ok(text) => match std::fs::write(path, text) {
-                Ok(()) => eprintln!("wrote live bench report to {path}"),
-                Err(e) => {
-                    eprintln!("failed to write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            Err(e) => {
-                eprintln!("serializing live bench report for {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    match perf_gate::compare(&live, &baseline, cli.tolerance) {
-        Ok(checks) => {
-            print!("{}", perf_gate::render(&checks, cli.tolerance));
-            if checks.iter().all(|c| c.pass) {
-                ExitCode::SUCCESS
-            } else {
-                eprintln!("perf-check FAILED against {baseline_path}");
-                ExitCode::FAILURE
-            }
-        }
-        Err(e) => {
-            eprintln!("perf-check cannot compare against {baseline_path}: {e}");
-            ExitCode::FAILURE
-        }
+        .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
+    let live = step("perf-check", "perf-check bench suite", || {
+        Ok(bench::microbench::run(cli.on("--quick")))
+    })?;
+    write_json(cli.text("--json"), "live bench report", &live)?;
+    let checks = perf_gate::compare(&live, &baseline, tolerance)
+        .map_err(|e| format!("perf-check cannot compare against {baseline_path}: {e}"))?;
+    print!("{}", perf_gate::render(&checks, tolerance));
+    if checks.iter().all(|c| c.pass) {
+        Ok(true)
+    } else {
+        Err(format!("perf-check FAILED against {baseline_path}"))
     }
 }
 
@@ -1255,70 +1066,27 @@ fn perf_check_cmd(cli: &Cli, watchdog: &Option<Watchdog>) -> ExitCode {
 /// Exits non-zero if the post-drain conservation invariant
 /// `submitted == served + rejected + shed` is violated, or if a chaos
 /// run's survivor digests diverge from its quiescent twin.
-fn serve_cmd(cli: &Cli, watchdog: &Option<Watchdog>) -> ExitCode {
-    let start = Instant::now();
-    watch(watchdog, "serve");
-    let report = match bench::serve_cli::run(&cli.serve) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(wd) = watchdog {
-        wd.clear();
-    }
-    eprintln!("[repro] serve: {:.2}s", start.elapsed().as_secs_f64());
-    print!("{}", bench::serve_cli::render(&report));
-    if let Some(path) = &cli.json_path {
-        let text = match serde_json::to_string_pretty(&report) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("serializing serve report for {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match std::fs::write(path, text) {
-            Ok(()) => eprintln!("wrote serve report to {path}"),
-            Err(e) => {
-                eprintln!("failed to write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Some(path) = &cli.metrics_path {
-        let text = match stats_gate::metrics_json(&obs::snapshot()) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match std::fs::write(path, text) {
-            Ok(()) => eprintln!("wrote metrics to {path}"),
-            Err(e) => {
-                eprintln!("failed to write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+fn serve_cmd(cli: &Cli) -> Result<bool, String> {
+    let args = cli.serve_args()?;
+    let report = step("serve", "serve", || serve_cli::run(&args))?;
+    print!("{}", serve_cli::render(&report));
+    write_json(cli.text("--json"), "serve report", &report)?;
+    write_metrics(cli)?;
     if !report.conserves_requests() {
-        eprintln!(
+        return Err(format!(
             "serve: conservation violated: submitted {} != served {} + rejected {} + shed {}",
             report.submitted, report.served, report.rejected, report.shed
-        );
-        return ExitCode::FAILURE;
+        ));
     }
     if let Some(twin) = &report.chaos_twin {
         if twin.survivor_digest != twin.twin_survivor_digest {
-            eprintln!(
+            return Err(format!(
                 "serve: chaos twin diverged over {} survivors: {:016x} != {:016x}",
                 twin.survivors, twin.survivor_digest, twin.twin_survivor_digest
-            );
-            return ExitCode::FAILURE;
+            ));
         }
     }
-    ExitCode::SUCCESS
+    Ok(true)
 }
 
 /// Proves `dir` accepts writes by round-tripping a probe file (named
@@ -1326,7 +1094,7 @@ fn serve_cmd(cli: &Cli, watchdog: &Option<Watchdog>) -> ExitCode {
 /// directory had to be created for the probe, it is removed again so a
 /// divergence-free sweep still ends with no repro directory on disk.
 fn probe_writable_dir(dir: &str) -> Result<(), String> {
-    let existed = std::path::Path::new(dir).is_dir();
+    let existed = Path::new(dir).is_dir();
     std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
     let probe = format!("{dir}/.write_probe_{}", std::process::id());
     std::fs::write(&probe, b"probe").map_err(|e| e.to_string())?;
@@ -1340,138 +1108,57 @@ fn probe_writable_dir(dir: &str) -> Result<(), String> {
 /// The `chaos` subcommand: run the deterministic fault-injection campaign
 /// of `bench::chaos` and fail unless every detection-on run reproduced the
 /// fault-free baseline (zero silent corruptions).
-fn chaos_cmd(cli: &Cli, watchdog: &Option<Watchdog>) -> ExitCode {
-    let start = Instant::now();
-    watch(watchdog, "chaos campaign");
-    let report = match bench::chaos::run_campaign(cli.diff_seed, cli.campaign) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("chaos campaign failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(wd) = watchdog {
-        wd.clear();
-    }
-    eprintln!("[repro] chaos: {:.2}s", start.elapsed().as_secs_f64());
+fn chaos_cmd(cli: &Cli) -> Result<bool, String> {
+    let seed = cli.int("--seed").unwrap_or(1);
+    let campaign = cli.int("--campaign").unwrap_or(25);
+    let report = step("chaos", "chaos campaign", || {
+        bench::chaos::run_campaign(seed, campaign)
+            .map_err(|e| format!("chaos campaign failed: {e}"))
+    })?;
     print!("{}", report.render());
-    if let Some(path) = &cli.json_path {
-        let text = match serde_json::to_string_pretty(&report) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("serializing chaos report for {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match std::fs::write(path, text) {
-            Ok(()) => eprintln!("wrote chaos report to {path}"),
-            Err(e) => {
-                eprintln!("failed to write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if report.pass() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    write_json(cli.text("--json"), "chaos report", &report)?;
+    Ok(report.pass())
 }
 
 /// The `stats-check` subcommand: run the quick suite with counters on and
 /// diff the snapshot against the golden file (or rewrite it with
 /// `--update`). Tables are suppressed — only counters matter here.
-fn stats_check(cli: &Cli, cache: &mut StatsCache, watchdog: &Option<Watchdog>) -> ExitCode {
-    let golden_path = match cli.golden_path.as_deref() {
-        Some(p) => p,
-        // Unreachable by construction (parse_args rejects stats-check
-        // without --golden), but no panic on the CLI surface.
-        None => {
-            eprintln!("stats-check requires --golden <path>\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
+fn stats_check(cli: &Cli) -> Result<bool, String> {
+    let golden_path = cli.text("--golden").unwrap_or_default();
+    let read_golden = || {
+        let text = std::fs::read_to_string(golden_path)
+            .map_err(|e| format!("cannot read golden file {golden_path}: {e}"))?;
+        stats_gate::parse_golden(&text)
+            .map_err(|e| format!("malformed golden file {golden_path}: {e}"))
     };
     // Parse the golden up front (unless rewriting it): a truncated or
     // invalid file should fail in milliseconds, not after the full suite.
-    let golden = if cli.update_golden {
+    let golden = if cli.on("--update") {
         None
     } else {
-        match std::fs::read_to_string(golden_path) {
-            Ok(text) => match stats_gate::parse_golden(&text) {
-                Ok(g) => Some(g),
-                Err(e) => {
-                    eprintln!("malformed golden file {golden_path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            Err(e) => {
-                eprintln!("cannot read golden file {golden_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        Some(read_golden()?)
     };
 
+    let mut cache = StatsCache::new();
     let start = Instant::now();
-    let mut emit = |_: &str, _: String, _: serde_json::Value| {};
     for which in ALL {
         // Batch stays 1 and the model cache stays off so the counter
         // snapshot matches the golden file.
-        if let Err(e) = run_timed(which, true, 1, None, cache, watchdog, &mut emit) {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+        step(which, which, || {
+            run_one(which, true, 1, None, &mut cache, &mut |_, _, _| {})
+        })?;
     }
     eprintln!("[repro] total: {:.2}s", start.elapsed().as_secs_f64());
     let snap = obs::snapshot();
+    write_metrics(cli)?;
 
-    if let Some(path) = &cli.metrics_path {
-        let text = match stats_gate::metrics_json(&snap) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match std::fs::write(path, text) {
-            Ok(()) => eprintln!("wrote metrics to {path}"),
-            Err(e) => {
-                eprintln!("failed to write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    if cli.update_golden {
+    let Some(golden) = golden else {
         // Keep any hand-tuned tolerances from the existing golden.
-        let prior = std::fs::read_to_string(golden_path)
-            .ok()
-            .and_then(|t| stats_gate::parse_golden(&t).ok());
-        let text = match stats_gate::golden_json(&snap, prior.as_ref()) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match std::fs::write(golden_path, text) {
-            Ok(()) => {
-                println!("updated golden stats at {golden_path}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("failed to write {golden_path}: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    let golden = match golden {
-        Some(g) => g,
-        // Unreachable: `golden` is always parsed above when not updating.
-        None => {
-            eprintln!("internal error: golden file {golden_path} was not parsed");
-            return ExitCode::FAILURE;
-        }
+        let text = stats_gate::golden_json(&snap, read_golden().ok().as_ref())?;
+        std::fs::write(golden_path, text)
+            .map_err(|e| format!("failed to write {golden_path}: {e}"))?;
+        println!("updated golden stats at {golden_path}");
+        return Ok(true);
     };
     let drifts = stats_gate::compare(&snap, &golden);
     if drifts.is_empty() {
@@ -1479,16 +1166,131 @@ fn stats_check(cli: &Cli, cache: &mut StatsCache, watchdog: &Option<Watchdog>) -
             "stats-check OK: {} counters within tolerance of {golden_path}",
             golden.counters.len()
         );
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
-            "stats-check FAILED: {} counter(s) drifted from {golden_path}",
-            drifts.len()
-        );
-        for d in &drifts {
-            eprintln!("  {d}");
+        return Ok(true);
+    }
+    eprintln!(
+        "stats-check FAILED: {} counter(s) drifted from {golden_path}",
+        drifts.len()
+    );
+    for d in &drifts {
+        eprintln!("  {d}");
+    }
+    eprintln!("(run `repro stats-check --golden {golden_path} --update` to accept)");
+    Ok(false)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    /// The error `parse_args` gives for `args`.
+    fn error(args: &[&str]) -> String {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        match parse_args(&args) {
+            Ok(_) => panic!("{args:?} parsed"),
+            Err(e) => e,
         }
-        eprintln!("(run `repro stats-check --golden {golden_path} --update` to accept)");
-        ExitCode::FAILURE
+    }
+
+    #[test]
+    fn flags_and_usage_name_the_same_flags() {
+        let table: BTreeSet<&str> = FLAGS.iter().map(|f| f.name).collect();
+        let usage: BTreeSet<&str> = USAGE
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|word| word.starts_with("--"))
+            .collect();
+        assert_eq!(table.len(), FLAGS.len(), "a flag has two rows");
+        assert_eq!(table, usage);
+    }
+
+    #[test]
+    fn every_value_flag_given_last_requires_its_value() {
+        let value_flags = FLAGS.iter().filter(|f| !matches!(f.kind, Kind::Switch));
+        assert_eq!(value_flags.clone().count(), 25);
+        for flag in value_flags {
+            let which = flag.only.first().copied().unwrap_or("table6");
+            let e = error(&[which, flag.name]);
+            assert!(e.starts_with(&format!("{} requires ", flag.name)), "{e}");
+        }
+    }
+
+    #[test]
+    fn every_listed_flag_only_applies_to_its_subcommands() {
+        let commands = [
+            "fig1",
+            "fig13",
+            "table6",
+            "batch",
+            "all",
+            "stats-check",
+            "diffcheck",
+            "chaos",
+            "bench",
+            "cache",
+            "artifact",
+            "perf-check",
+            "serve",
+        ];
+        for flag in FLAGS.iter().filter(|f| !f.only.is_empty()) {
+            let value = match &flag.kind {
+                Kind::Switch => None,
+                Kind::Text { check, .. } => ["2", "batch"].into_iter().find(|v| check(v).is_ok()),
+                Kind::Int(int) => Some(if int.min > 0 { "1" } else { "0" }),
+            };
+            for which in commands.iter().filter(|c| !flag.only.contains(c)) {
+                let mut args = vec![*which, flag.name];
+                args.extend(value);
+                // What the subcommand itself requires, so that only the
+                // flag under test is out of place.
+                args.extend(match *which {
+                    "cache" => &["stats", "--model-cache", "d"][..],
+                    "artifact" => &["save", "--model-cache", "d"][..],
+                    "stats-check" => &["--golden", "g"][..],
+                    "perf-check" => &["--baseline", "b"][..],
+                    _ => &[][..],
+                });
+                let e = error(&args);
+                let want = format!("{} only applies to {}", flag.name, one_of(flag.only));
+                assert_eq!(e, want, "{args:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_value_flag_never_takes_a_following_flag_as_its_value() {
+        for (args, want) in [
+            (["table6", "--json", "--quick"], "--json requires a path"),
+            (
+                ["table6", "--threads", "--quick"],
+                "--threads requires a count",
+            ),
+            (
+                ["batch", "--model-cache", "--quick"],
+                "--model-cache requires a directory",
+            ),
+            (
+                ["diffcheck", "--repro-dir", "--shrink"],
+                "--repro-dir requires a path",
+            ),
+        ] {
+            assert_eq!(error(&args), want, "{args:?}");
+        }
+    }
+
+    #[test]
+    fn an_integer_past_its_type_is_invalid_not_out_of_range() {
+        assert_eq!(
+            error(&["serve", "--brownout", "70000"]),
+            "invalid brownout permille `70000`"
+        );
+        assert_eq!(
+            error(&["serve", "--brownout", "2000"]),
+            "--brownout must be within 1..=1000 permille (got 2000)"
+        );
+        assert_eq!(
+            error(&["serve", "--retry-budget", "4294967296"]),
+            "invalid retry budget `4294967296`"
+        );
     }
 }

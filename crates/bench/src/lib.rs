@@ -2,12 +2,11 @@
 //!
 //! One module per table/figure of the paper's evaluation (§V), each
 //! producing structured rows plus a rendered text table. The `repro`
-//! binary drives them (`repro all`, `repro fig12`, …); the Criterion
-//! benches under `benches/` time the same runners.
+//! binary drives them (`repro all`, `repro fig12`, …).
 //!
 //! Every experiment is deterministic given the shared [`SEED`]. `quick`
 //! mode trims the network list and sweep resolution so the whole suite
-//! runs in seconds (used by tests and Criterion); full mode reproduces the
+//! runs in seconds (used by tests and CI); full mode reproduces the
 //! complete DNN benchmark.
 
 #![deny(missing_docs)]

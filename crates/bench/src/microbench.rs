@@ -1,25 +1,22 @@
 //! Self-timed micro-benchmarks of the CSC hot path (`repro bench`).
 //!
-//! The Criterion benches under `benches/` remain the statistically rigorous
-//! harness for local work; this module exists so a benchmark trajectory can
-//! be *recorded* — `repro bench --json` emits a small, schema-stable JSON
-//! report (`ristretto-bench/v3`) suitable for checking in next to the code
-//! it measures (see `BENCH_8.json`). Timing is deliberately simple and
-//! self-contained: per benchmark, one warm-up call, an iteration count
-//! calibrated so a sample lasts at least a millisecond, then a fixed number
-//! of samples reduced to median/min/mean nanoseconds per iteration. Median
-//! is the headline number — it is robust against scheduler noise on small
-//! shared containers.
+//! This module records a benchmark trajectory: `repro bench --json` emits a
+//! small, schema-stable JSON report (`ristretto-bench/v3`) suitable for
+//! checking in next to the code it measures (see `BENCH_8.json`). Timing is
+//! deliberately simple and self-contained: per benchmark, one warm-up call,
+//! an iteration count calibrated so a sample lasts at least a millisecond,
+//! then a fixed number of samples reduced to median/min/mean nanoseconds
+//! per iteration. Median is the headline number — it is robust against
+//! scheduler noise on small shared containers.
 //!
 //! Four suites run:
 //!
-//! * **micro** — the kernel-level workload mirrored from
-//!   `benches/csc_kernels.rs` (a 16→32-channel 3×3 layer at 28×28, seed 7):
-//!   the dense reference convolution, the full CSC convolution, and the
-//!   precompiled stream intersection under the value-major reference
-//!   kernel, the planned kernel with a cold scratch arena, and the planned
-//!   kernel in its steady state (persistent arena, the `Session::run`
-//!   regime).
+//! * **micro** — the kernel-level workload (a 16→32-channel 3×3 layer at
+//!   28×28, seed 7): the dense reference convolution, the full CSC
+//!   convolution, and the precompiled stream intersection under the
+//!   value-major reference kernel, the planned kernel with a cold scratch
+//!   arena, and the planned kernel in its steady state (persistent arena,
+//!   the `Session::run` regime).
 //! * **batch** — the compile-once/run-many engine path per quick-suite
 //!   network: compile wall time once, then per-image wall time over a
 //!   served batch.
@@ -169,8 +166,7 @@ fn time_fn<F: FnMut()>(name: &str, quick: bool, mut f: F) -> MicroRow {
     }
 }
 
-/// The kernel-level workload, mirrored from `benches/csc_kernels.rs` so the
-/// recorded trajectory and the Criterion numbers describe the same layer.
+/// The kernel-level workload: a 16→32-channel 3×3 layer at 28×28, seed 7.
 fn kernel_workload() -> SyntheticLayer {
     let layer = qnn::layers::ConvLayer::conv("bench", 16, 32, 3, 1, 1, 28, 28)
         .expect("benchmark layer shape is valid");

@@ -90,11 +90,6 @@ impl BlockCoo2d {
         Self::from_dense(&dense, th, tw).expect("tile() returns th*tw elements")
     }
 
-    /// Tile shape `(th, tw)`.
-    pub fn tile_shape(&self) -> (usize, usize) {
-        (self.th, self.tw)
-    }
-
     /// The compressed entries, in zigzag order.
     pub fn entries(&self) -> &[CooEntry] {
         &self.entries

@@ -5,8 +5,6 @@
 //! to a target sparsity: the smallest-magnitude values are zeroed until the
 //! target fraction of zeros is reached.
 
-use crate::tensor::{Tensor3, Tensor4};
-
 /// Zeroes the smallest-magnitude entries of `values` until at least
 /// `target_sparsity` of all entries are zero. Existing zeros count toward
 /// the target. Returns the number of values newly zeroed.
@@ -44,16 +42,6 @@ pub fn magnitude_prune(values: &mut [i32], target_sparsity: f64) -> usize {
         zeroed += 1;
     }
     zeroed
-}
-
-/// Prunes a weight tensor in place to the target sparsity.
-pub fn prune_weights(kernels: &mut Tensor4, target_sparsity: f64) -> usize {
-    magnitude_prune(kernels.as_mut_slice(), target_sparsity)
-}
-
-/// Prunes an activation tensor in place to the target sparsity.
-pub fn prune_activations(fmap: &mut Tensor3, target_sparsity: f64) -> usize {
-    magnitude_prune(fmap.as_mut_slice(), target_sparsity)
 }
 
 #[cfg(test)]

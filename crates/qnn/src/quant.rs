@@ -195,11 +195,6 @@ impl Quantizer {
     pub fn dequantize(&self, q: i32) -> f32 {
         q as f32 * self.step
     }
-
-    /// Quantizes a slice of values.
-    pub fn quantize_slice(&self, xs: &[f32]) -> Vec<i32> {
-        xs.iter().map(|&x| self.quantize(x)).collect()
-    }
 }
 
 /// Clip-range multiplier (in units of the tensor's standard deviation) used

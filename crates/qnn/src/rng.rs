@@ -92,11 +92,6 @@ impl SeededRng {
         r * theta.cos()
     }
 
-    /// Normal sample with the given mean and standard deviation.
-    pub fn normal_with(&mut self, mean: f64, std_dev: f64) -> f64 {
-        mean + std_dev * self.normal()
-    }
-
     /// Zero-mean Laplace sample with the given scale `b` (std dev `√2·b`).
     ///
     /// Trained CNN weights are well modelled as Laplacian: strongly peaked

@@ -163,11 +163,6 @@ impl Tensor3 {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning the underlying buffer.
-    pub fn into_vec(self) -> Vec<i32> {
-        self.data
-    }
-
     /// Iterates over `(c, y, x, value)` in layout order.
     pub fn iter_indexed(&self) -> impl Iterator<Item = (usize, usize, usize, i32)> + '_ {
         let (h, w) = (self.h, self.w);
@@ -375,11 +370,6 @@ impl Tensor4 {
     /// Mutable flat view of the underlying buffer.
     pub fn as_mut_slice(&mut self) -> &mut [i32] {
         &mut self.data
-    }
-
-    /// Consumes the tensor, returning the underlying buffer.
-    pub fn into_vec(self) -> Vec<i32> {
-        self.data
     }
 
     /// Iterates over `(o, i, ky, kx, value)` in layout order.

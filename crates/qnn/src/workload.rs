@@ -138,11 +138,6 @@ impl WorkloadGen {
         }
     }
 
-    /// Direct access to the underlying random source.
-    pub fn rng_mut(&mut self) -> &mut SeededRng {
-        &mut self.rng
-    }
-
     /// Samples one quantized weight value.
     fn sample_weight(rng: &mut SeededRng, q: &Quantizer) -> i32 {
         // Laplace with unit std-dev (scale 1/√2).

@@ -36,11 +36,6 @@ impl RistrettoSim {
         &self.cfg
     }
 
-    /// The price table in use.
-    pub fn energy_model(&self) -> &RistrettoEnergyModel {
-        &self.energy
-    }
-
     /// Simulates one layer. `input_layer` disables load balancing, as the
     /// paper does for the network's first layer (§IV-E).
     ///

@@ -325,12 +325,6 @@ impl FleetConfig {
         }
     }
 
-    /// Returns a copy with a different NoC model.
-    pub fn with_noc(mut self, noc: crate::noc::NocConfig) -> Self {
-        self.noc = noc;
-        self
-    }
-
     /// Returns a copy with a core-death campaign attached (or detached
     /// with `None`).
     pub fn with_core_deaths(mut self, deaths: Option<crate::fault::CoreDeathConfig>) -> Self {

@@ -1113,10 +1113,10 @@ mod tests {
         let faulty = Session::new(compile(&model, &faulty_cfg).unwrap())
             .run(&input)
             .unwrap();
-        assert!(faulty.faults.total_injected() > 0, "campaign must fire");
+        assert!(faulty.faults.injected_total() > 0, "campaign must fire");
         assert_eq!(
-            faulty.faults.total_detected(),
-            faulty.faults.total_injected(),
+            faulty.faults.detected_total(),
+            faulty.faults.injected_total(),
             "every injected fault must be caught by a monitor"
         );
         assert!(faulty.faults.recovered_tiles > 0 || faulty.faults.layer_fallbacks > 0);
@@ -1201,7 +1201,7 @@ mod tests {
             .unwrap();
         assert_eq!(faulty.functional.output, clean.functional.output);
         assert_eq!(faulty.core_reports, clean.core_reports);
-        assert!(faulty.functional.faults.total_injected() > 0);
+        assert!(faulty.functional.faults.injected_total() > 0);
     }
 
     #[test]

@@ -345,16 +345,6 @@ impl FaultStats {
         }
     }
 
-    /// Total faults injected across all structures.
-    pub fn total_injected(&self) -> u64 {
-        FaultStructure::ALL.iter().map(|&s| self.injected(s)).sum()
-    }
-
-    /// Total faults detected across all structures.
-    pub fn total_detected(&self) -> u64 {
-        FaultStructure::ALL.iter().map(|&s| self.detected(s)).sum()
-    }
-
     /// Records one injected fault, mirrored into the `fault.*` counters.
     pub fn record_injected(&mut self, structure: FaultStructure, count: u64) {
         if count == 0 {
@@ -812,8 +802,8 @@ mod tests {
         s.merge(&t);
         assert_eq!(s.injected(FaultStructure::Fifo), 2);
         assert_eq!(s.injected(FaultStructure::AccumBuffer), 3);
-        assert_eq!(s.total_injected(), 5);
-        assert_eq!(s.total_detected(), 1);
+        assert_eq!(s.injected_total(), 5);
+        assert_eq!(s.detected_total(), 1);
     }
 
     #[test]

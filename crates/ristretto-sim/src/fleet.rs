@@ -774,7 +774,7 @@ mod tests {
                 .unwrap()
         };
         let one = run(FleetConfig::new(1, ShardStrategy::OutputChannel));
-        assert!(one.faults.total_injected() > 0, "campaign must fire");
+        assert!(one.faults.injected_total() > 0, "campaign must fire");
         let sharded = [
             FleetConfig::new(2, ShardStrategy::OutputChannel),
             FleetConfig::new(4, ShardStrategy::OutputChannel),

@@ -68,7 +68,7 @@ pub mod prelude {
         CoreDeathConfig, FaultConfig, FaultDetected, FaultInjector, FaultStats, FaultStructure,
     };
     pub use crate::fleet::{Fleet, FleetReport, FleetRun, ShardPlan, ShardStrategy};
-    pub use crate::modelcache::{compile_cached, CacheError, CacheKey, CacheStats, ModelCache};
+    pub use crate::modelcache::{CacheError, CacheKey, CacheStats, ModelCache};
     pub use crate::noc::{Noc, NocConfig, NocReport};
     pub use crate::pipeline::PipelineLayer;
     pub use crate::ppu::{PostProcessor, PpuOutput};

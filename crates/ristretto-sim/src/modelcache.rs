@@ -373,18 +373,6 @@ impl ModelCache {
     }
 }
 
-/// Free-function form of [`ModelCache::compile_cached`].
-///
-/// # Errors
-/// Only compile errors propagate; cache trouble degrades to a recompile.
-pub fn compile_cached(
-    model: &NetworkModel,
-    cfg: &RistrettoConfig,
-    cache_dir: impl Into<PathBuf>,
-) -> Result<Arc<CompiledNetwork>, EngineError> {
-    ModelCache::new(cache_dir).compile_cached(model, cfg)
-}
-
 /// Rebuilds the uncompiled model a compiled network came from — the
 /// artifact retains every model field (weight bit-width lives in the
 /// stream set), which is what lets `verify` recompute the model half of

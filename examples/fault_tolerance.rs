@@ -46,13 +46,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let run = Session::new(compile(&model, &faulty_cfg)?).run(&fmap)?;
     println!(
         "campaign: {} injected, {} detected, {} tile retries, {} recovered, {} layer fallbacks",
-        run.faults.total_injected(),
-        run.faults.total_detected(),
+        run.faults.injected_total(),
+        run.faults.detected_total(),
         run.faults.retries,
         run.faults.recovered_tiles,
         run.faults.layer_fallbacks,
     );
-    assert!(run.faults.total_injected() > 0, "campaign injected nothing");
+    assert!(run.faults.injected_total() > 0, "campaign injected nothing");
     assert_eq!(
         run.output, baseline.output,
         "recovery must restore the fault-free output byte-for-byte"
